@@ -214,6 +214,15 @@ func (s *simulator) buildRegion(owner *model.Function, rs *RegionSpec, parent *m
 		r.Children = append(r.Children, child)
 	}
 
+	// Typed overheads are charged in TimingType order: each processor's
+	// overhead is a float sum over the classes, so map order would change
+	// its bits from run to run.
+	ovTypes := make([]model.TimingType, 0, len(rs.Overheads))
+	for tt := range rs.Overheads {
+		ovTypes = append(ovTypes, tt)
+	}
+	sort.Slice(ovTypes, func(i, j int) bool { return ovTypes[i] < ovTypes[j] })
+
 	for _, run := range s.version.Runs {
 		p := run.NoPe
 		clockScale := 450.0 / float64(run.Clockspeed) // 450 MHz = 1.0, 300 MHz = 1.5
@@ -228,7 +237,8 @@ func (s *simulator) buildRegion(owner *model.Function, rs *RegionSpec, parent *m
 		// Typed overheads.
 		typed := make(map[model.TimingType]float64)
 		overheadPerPe := make([]float64, p)
-		for tt, spec := range rs.Overheads {
+		for _, tt := range ovTypes {
+			spec := rs.Overheads[tt]
 			for pe := 0; pe < p; pe++ {
 				v := spec.PerProcessor(p) * s.noise(rs.Name+"/"+tt.String(), pe)
 				typed[tt] += v

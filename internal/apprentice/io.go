@@ -157,6 +157,9 @@ func ReadSummary(r io.Reader) (*model.Dataset, error) {
 			}
 			d.Program = fields[1]
 		case "version":
+			if len(fields) != 2 {
+				return nil, fail("version wants 1 argument")
+			}
 			ts, err := strconv.ParseInt(fields[1], 10, 64)
 			if err != nil {
 				return nil, fail("bad version timestamp: %v", err)

@@ -218,6 +218,18 @@ type scope struct {
 	calls   []*object.Object
 	run     *object.Object
 	basis   *object.Object
+	// named holds the read-only Params.Named maps of the scope's contexts,
+	// shared by every property with the same first object and parameter
+	// names (see contexts).
+	named map[namedKey]map[string]sqldb.Value
+}
+
+// namedKey identifies one context's named bindings: the scope fixes the test
+// run and the ranking basis, so the first object and the parameter names
+// determine the map.
+type namedKey struct {
+	first *object.Object
+	names [3]string
 }
 
 // scopeFromGraph builds the scope for a run of the analyzer's own dataset.
@@ -334,27 +346,41 @@ func (a *Analyzer) contexts(sc *scope, prop string) ([]instCtx, error) {
 		return nil, fmt.Errorf("core: property %s: first parameter is not class typed", prop)
 	}
 
+	names := [3]string{sig.Params[0].Name, sig.Params[1].Name, sig.Params[2].Name}
 	mk := func(label string, first *object.Object) instCtx {
+		key := namedKey{first: first, names: names}
+		named, ok := sc.named[key]
+		if !ok {
+			named = map[string]sqldb.Value{
+				names[0]: sqldb.NewInt(first.ID),
+				names[1]: sqldb.NewInt(sc.run.ID),
+				names[2]: sqldb.NewInt(sc.basis.ID),
+			}
+			if sc.named == nil {
+				sc.named = make(map[namedKey]map[string]sqldb.Value, len(sc.regions)+len(sc.calls))
+			}
+			sc.named[key] = named
+		}
+		// Params itself stays per context: positional-marker dialects fill
+		// its Positional slice per binding (sqlgen.FillPositional).
 		return instCtx{
-			label: label,
-			args:  []object.Value{first, sc.run, sc.basis},
-			params: &sqldb.Params{Named: map[string]sqldb.Value{
-				sig.Params[0].Name: sqldb.NewInt(first.ID),
-				sig.Params[1].Name: sqldb.NewInt(sc.run.ID),
-				sig.Params[2].Name: sqldb.NewInt(sc.basis.ID),
-			}},
+			label:  label,
+			args:   []object.Value{first, sc.run, sc.basis},
+			params: &sqldb.Params{Named: named},
 		}
 	}
 
 	var out []instCtx
 	switch firstClass.Name {
 	case "Region":
+		out = make([]instCtx, 0, len(sc.regions))
 		for _, r := range sc.regions {
 			name, _ := r.Get("Name").(object.Str)
 			out = append(out, mk("region "+string(name), r))
 		}
 	case "FunctionCall":
 		filter := a.callFilter[prop]
+		out = make([]instCtx, 0, len(sc.calls))
 		for _, c := range sc.calls {
 			callee, _ := c.Get("Callee").(object.Str)
 			if filter != "" && string(callee) != filter {
@@ -558,21 +584,25 @@ func (c *compiledProp) close() {
 // once per property to supply engine-specific item state (the compiled SQL);
 // its result seeds every item of that property.
 func (a *Analyzer) enumerate(sc *scope, perProp func(prop string) (evalItem, error)) ([]evalItem, error) {
-	var items []evalItem
-	for _, prop := range a.props {
-		seed := evalItem{}
+	seeds := make([]evalItem, len(a.props))
+	ctxs := make([][]instCtx, len(a.props))
+	n := 0
+	for i, prop := range a.props {
+		var err error
 		if perProp != nil {
-			var err error
-			if seed, err = perProp(prop); err != nil {
+			if seeds[i], err = perProp(prop); err != nil {
 				return nil, err
 			}
 		}
-		seed.prop = prop
-		ctxs, err := a.contexts(sc, prop)
-		if err != nil {
+		seeds[i].prop = prop
+		if ctxs[i], err = a.contexts(sc, prop); err != nil {
 			return nil, err
 		}
-		for _, ctx := range ctxs {
+		n += len(ctxs[i])
+	}
+	items := make([]evalItem, 0, n)
+	for i, seed := range seeds {
+		for _, ctx := range ctxs[i] {
 			it := seed
 			it.ctx = ctx
 			items = append(items, it)

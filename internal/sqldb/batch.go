@@ -86,7 +86,9 @@ func (db *DB) execBatch(ctx context.Context, plan *stmtPlan, bindings []*Params,
 		// the result cache individually, and only the misses execute. All
 		// bindings share one data-version snapshot — the shared statement
 		// lock is held for the whole batch, so no DML can move the versions
-		// between the first lookup and the last store.
+		// between the first lookup and the last store. One execution context
+		// serves every binding; its subquery slots are cleared in between.
+		ec := &execCtx{db: db, plan: plan}
 		for i, params := range bindings {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -98,7 +100,7 @@ func (db *DB) execBatch(ctx context.Context, plan *stmtPlan, bindings []*Params,
 					continue
 				}
 			}
-			ec := &execCtx{db: db, params: params, plan: plan}
+			ec.rebind(params)
 			set, err := ec.execSelect(st, nil)
 			if err != nil {
 				out[i] = BatchResult{Err: err}

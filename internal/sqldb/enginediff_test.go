@@ -163,7 +163,7 @@ func FuzzEngineDifferential(f *testing.F) {
 		}
 		db := diffDB(t)
 		params := bindParams(sql, p1, p2, p3)
-		run := func(engine string) (*sqldb.ResultSet, error) {
+		run := func(engine string, params *sqldb.Params) (*sqldb.ResultSet, error) {
 			if err := db.SetEngine(engine); err != nil {
 				t.Fatal(err)
 			}
@@ -173,16 +173,71 @@ func FuzzEngineDifferential(f *testing.F) {
 			}
 			return res.Set, nil
 		}
-		vecSet, vecErr := run(sqldb.EngineVector)
-		rowSet, rowErr := run(sqldb.EngineRow)
+		vecSet, vecErr := run(sqldb.EngineVector, params)
+		rowSet, rowErr := run(sqldb.EngineRow, params)
 		if (vecErr == nil) != (rowErr == nil) {
 			t.Fatalf("engine divergence on %q: vector err=%v, row err=%v", sql, vecErr, rowErr)
 		}
-		if vecErr != nil {
-			return // both failed: agreement
-		}
-		if !reflect.DeepEqual(vecSet, rowSet) {
+		if vecErr == nil && !reflect.DeepEqual(vecSet, rowSet) {
 			t.Fatalf("engine divergence on %q:\nvector: %+v\nrow:    %+v", sql, vecSet, rowSet)
 		}
+		checkBatchLeg(t, db, sql, run, []*sqldb.Params{
+			params,
+			{}, // binds no marker: errors whenever the query has one
+			bindParams(sql, p3, p1, p2),
+			params, // repeated after the others: no slot may go stale
+		})
 	})
+}
+
+// checkBatchLeg runs the bindings as one prepared batch on each engine and
+// requires every binding's outcome to match a single execution of it: the
+// same rows as the row engine, and the same rows or error text as a single
+// execution on the batch's own engine. One execution context serves the
+// whole batch, so this covers subquery slots reused across bindings.
+func checkBatchLeg(t *testing.T, db *sqldb.DB, sql string, run func(string, *sqldb.Params) (*sqldb.ResultSet, error), bindings []*sqldb.Params) {
+	t.Helper()
+	type outcome struct {
+		set *sqldb.ResultSet
+		err error
+	}
+	single := func(engine string) []outcome {
+		out := make([]outcome, len(bindings))
+		for i, p := range bindings {
+			out[i].set, out[i].err = run(engine, p)
+		}
+		return out
+	}
+	rowWant := single(sqldb.EngineRow)
+	for _, engine := range []string{sqldb.EngineVector, sqldb.EngineRow} {
+		want := single(engine)
+		if err := db.SetEngine(engine); err != nil {
+			t.Fatal(err)
+		}
+		ps, err := db.Prepare(sql)
+		if err != nil {
+			return // unplannable text runs only on the dynamic path
+		}
+		got, err := ps.ExecuteBatch(bindings)
+		ps.Close()
+		if err != nil {
+			t.Fatalf("%s batch of %q failed as a whole: %v", engine, sql, err)
+		}
+		for i, r := range got {
+			var gotErr string
+			if r.Err != nil {
+				gotErr = r.Err.Error()
+			}
+			var wantErr string
+			if want[i].err != nil {
+				wantErr = want[i].err.Error()
+			}
+			if gotErr != wantErr || (r.Err == nil) != (rowWant[i].err == nil) {
+				t.Fatalf("%s batch binding %d of %q: err=%v, single %s err=%v, row err=%v", engine, i, sql, r.Err, engine, want[i].err, rowWant[i].err)
+			}
+			if r.Err == nil && !reflect.DeepEqual(r.Res.Set, rowWant[i].set) {
+				t.Fatalf("%s batch binding %d of %q:\nbatch: %+v\nrow:   %+v", engine, i, sql, r.Res.Set, rowWant[i].set)
+			}
+		}
+	}
 }

@@ -395,11 +395,16 @@ type execCtx struct {
 	// group is non-nil while evaluating expressions of a grouped query; it
 	// holds the tuples of the current group.
 	group *groupCtx
-	// free memoizes the free-column analysis of subqueries and subCache
-	// holds the results of subqueries that are invariant for the whole
-	// statement (no free columns; parameters only). The ASL property
-	// compiler emits the same parameter-correlated subquery many times, so
-	// this cache is the difference between linear and multiplicative cost.
+	// slots holds the values of subqueries that are invariant for the whole
+	// statement (no free columns; parameters only), indexed by the plan's
+	// subquery slots. The ASL property compiler emits the same
+	// parameter-correlated subquery many times, so this cache is the
+	// difference between linear and multiplicative cost. A batch reuses one
+	// context, clearing the slots between bindings (rebind).
+	slots []subSlot
+	// free, subCache and keyCache serve the unplanned path: they memoize the
+	// free-column analysis of subqueries, hold the invariant subquery values
+	// keyed by canonical text, and memoize that text.
 	free     map[Expr]*freeInfo
 	subCache map[string]Value
 	keyCache map[Expr]string
@@ -410,15 +415,58 @@ type execCtx struct {
 	aggPre map[*ECall]Value
 }
 
-// cacheKey returns (memoized) the canonical text of an invariant subquery,
-// so textually identical subqueries share one cache slot even when they are
-// distinct AST nodes.
-func (ec *execCtx) cacheKey(e Expr) string {
+// subSlot is one invariant subquery value of an execution; ok is false until
+// the subquery has been evaluated for the current binding.
+type subSlot struct {
+	v  Value
+	ok bool
+}
+
+// rebind readies a batch's shared context for its next binding. Every cached
+// subquery value belongs to the previous binding's parameters, so only the
+// emptied slot array carries over.
+func (ec *execCtx) rebind(params *Params) {
+	clear(ec.slots)
+	*ec = execCtx{db: ec.db, params: params, plan: ec.plan, slots: ec.slots}
+}
+
+// cachedSub returns the memoized value of an invariant subquery: from its
+// plan slot when planned, else from the text-keyed map.
+func (ec *execCtx) cachedSub(e Expr) (Value, bool) {
 	if ec.plan != nil {
-		if k, ok := ec.plan.keys[e]; ok {
-			return k
+		if slot, ok := ec.plan.slots[e]; ok {
+			if slot < len(ec.slots) && ec.slots[slot].ok {
+				return ec.slots[slot].v, true
+			}
+			return Null, false
 		}
 	}
+	v, ok := ec.subCache[ec.cacheKey(e)]
+	return v, ok
+}
+
+// storeSub memoizes the value of an invariant subquery for the rest of the
+// execution (of the current binding, in a batch).
+func (ec *execCtx) storeSub(e Expr, v Value) {
+	if ec.plan != nil {
+		if slot, ok := ec.plan.slots[e]; ok {
+			if ec.slots == nil {
+				ec.slots = make([]subSlot, ec.plan.nSlots)
+			}
+			ec.slots[slot] = subSlot{v: v, ok: true}
+			return
+		}
+	}
+	if ec.subCache == nil {
+		ec.subCache = make(map[string]Value)
+	}
+	ec.subCache[ec.cacheKey(e)] = v
+}
+
+// cacheKey returns (memoized) the canonical text of an unplanned invariant
+// subquery, so textually identical subqueries share one cache entry even
+// when they are distinct AST nodes.
+func (ec *execCtx) cacheKey(e Expr) string {
 	if k, ok := ec.keyCache[e]; ok {
 		return k
 	}
@@ -1306,10 +1354,8 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 		return NewBool(v.IsNull() != x.Not), nil
 	case *ESubquery:
 		cacheable := ec.invariant(x, fr)
-		var key string
 		if cacheable {
-			key = ec.cacheKey(x)
-			if v, ok := ec.subCache[key]; ok {
+			if v, ok := ec.cachedSub(x); ok {
 				return v, nil
 			}
 		}
@@ -1342,18 +1388,13 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 			}
 		}
 		if cacheable {
-			if ec.subCache == nil {
-				ec.subCache = make(map[string]Value)
-			}
-			ec.subCache[key] = v
+			ec.storeSub(x, v)
 		}
 		return v, nil
 	case *EExists:
 		cacheable := ec.invariant(x, fr)
-		var key string
 		if cacheable {
-			key = ec.cacheKey(x)
-			if v, ok := ec.subCache[key]; ok {
+			if v, ok := ec.cachedSub(x); ok {
 				return v, nil
 			}
 		}
@@ -1373,10 +1414,7 @@ func (ec *execCtx) eval(e Expr, fr *frame) (Value, error) {
 			v = NewBool(len(set.Rows) > 0)
 		}
 		if cacheable {
-			if ec.subCache == nil {
-				ec.subCache = make(map[string]Value)
-			}
-			ec.subCache[key] = v
+			ec.storeSub(x, v)
 		}
 		return v, nil
 	case *EIn:

@@ -17,10 +17,10 @@ import (
 // A plan captures everything about a statement that does not depend on
 // parameter values or row data: the parsed AST, the resolved tables, the
 // chosen access paths and join strategies, the free-column analysis of every
-// subquery, and the canonical cache keys of invariant subqueries. Plans are
-// immutable after construction, so one PreparedStmt may be executed from many
-// goroutines concurrently; per-execution state (current rows, the invariant
-// subquery result cache) lives in the execCtx created per Execute.
+// subquery, and the cache slot of every subquery. Plans are immutable after
+// construction, so one PreparedStmt may be executed from many goroutines
+// concurrently; per-execution state (current rows, the invariant subquery
+// values) lives in the execCtx of an Execute or a whole batch.
 //
 // Plans are invalidated by DDL: every CREATE TABLE, DROP TABLE, and CREATE
 // INDEX bumps the database's schema version, and a PreparedStmt whose plan
@@ -35,10 +35,18 @@ const DefaultPlanCacheSize = 128
 type stmtPlan struct {
 	stmt    Stmt
 	version int64 // schema version the plan was built against
-	// free and keys memoize the free-column analysis and the canonical text
-	// of subquery nodes, read-only after planning.
-	free map[Expr]*freeInfo
-	keys map[Expr]string
+	// free memoizes the free-column analysis of subquery nodes. slots gives
+	// each subquery node a dense index into the execution's subquery value
+	// cache (execCtx.slots); textually equal subqueries share a slot, so the
+	// property compiler's repeated parameter-correlated subqueries run once
+	// per binding. nSlots is the number of distinct slots. Read-only after
+	// planning.
+	free   map[Expr]*freeInfo
+	slots  map[Expr]int
+	nSlots int
+	// slotOf maps canonical subquery text to its slot while planning; nil
+	// once the plan is built.
+	slotOf map[string]int
 	// selects holds the per-SELECT plans, keyed by AST node (the statement
 	// tree may nest SELECTs in subqueries and IN clauses).
 	selects map[*SelectStmt]*selectPlan
@@ -219,7 +227,8 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 		stmt:    stmt,
 		version: db.ddl.Load(),
 		free:    make(map[Expr]*freeInfo),
-		keys:    make(map[Expr]string),
+		slots:   make(map[Expr]int),
+		slotOf:  make(map[string]int),
 		selects: make(map[*SelectStmt]*selectPlan),
 	}
 	switch st := stmt.(type) {
@@ -261,6 +270,7 @@ func (db *DB) buildPlan(stmt Stmt) (*stmtPlan, error) {
 	case *CreateTableStmt, *DropTableStmt, *CreateIndexStmt:
 		// DDL has nothing to precompute; Execute runs the dynamic path.
 	}
+	p.nSlots, p.slotOf = len(p.slotOf), nil
 	// Second pass: compile the physical operator pipeline of every SELECT
 	// node the vectorized engine covers, and the columnar DML pipeline of
 	// UPDATE/DELETE statements. This runs after the logical pass so the
@@ -401,7 +411,7 @@ func (p *stmtPlan) planExpr(db *DB, e Expr) error {
 
 // analyzeSub precomputes what the executor would otherwise derive per
 // execution: the free-column summary (which decides invariant-subquery
-// caching) and the canonical text used as the cache key.
+// caching) and the cache slot, shared by textually equal subqueries.
 func (p *stmtPlan) analyzeSub(e Expr) {
 	if _, done := p.free[e]; done {
 		return
@@ -409,7 +419,13 @@ func (p *stmtPlan) analyzeSub(e Expr) {
 	fi := &freeInfo{}
 	collectFree(e, nil, fi, make(map[string]bool))
 	p.free[e] = fi
-	p.keys[e] = FormatExpr(e)
+	key := FormatExpr(e)
+	slot, ok := p.slotOf[key]
+	if !ok {
+		slot = len(p.slotOf)
+		p.slotOf[key] = slot
+	}
+	p.slots[e] = slot
 }
 
 // ---------------------------------------------------------------------------

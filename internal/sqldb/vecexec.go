@@ -32,7 +32,7 @@ type vecGroup struct {
 }
 
 func (ec *execCtx) vecExecSelect(st *SelectStmt, sp *selectPlan, parent *frame) (*ResultSet, error) {
-	rows, err := ec.vecExecRows(st, sp, parent)
+	rows, err := ec.vecExecRows(st, sp, parent, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -49,33 +49,61 @@ func (ec *execCtx) vecExecSelect(st *SelectStmt, sp *selectPlan, parent *frame) 
 // queries hit once per attribute dereference. Cardinality semantics are the
 // row engine's: 0 rows → NULL, one row → its value, more → the error.
 func (ec *execCtx) vecExecScalar(st *SelectStmt, sp *selectPlan, parent *frame) (Value, error) {
-	rows, err := ec.vecExecRows(st, sp, parent)
+	n, first, err := ec.vecCount(st, sp, parent)
 	if err != nil {
 		return Null, err
 	}
-	switch len(rows) {
+	switch n {
 	case 0:
 		return Null, nil
 	case 1:
-		return rows[0].row[0], nil
+		return first, nil
 	}
-	return Null, fmt.Errorf("sqldb: scalar subquery returned %d rows", len(rows))
+	return Null, fmt.Errorf("sqldb: scalar subquery returned %d rows", n)
 }
 
 // vecExecExists evaluates a planned SELECT in EXISTS position without
 // materializing a ResultSet.
 func (ec *execCtx) vecExecExists(st *SelectStmt, sp *selectPlan, parent *frame) (Value, error) {
-	rows, err := ec.vecExecRows(st, sp, parent)
+	n, _, err := ec.vecCount(st, sp, parent)
 	if err != nil {
 		return Null, err
 	}
-	return NewBool(len(rows) > 0), nil
+	return NewBool(n > 0), nil
+}
+
+// rowCount is the sink of a SELECT whose rows need not be materialized: the
+// number of output rows and the first column of the first one.
+type rowCount struct {
+	n     int
+	first Value
+}
+
+// vecCount runs a planned SELECT for its row count and first value — all a
+// scalar or EXISTS subquery observes. A non-grouped SELECT without ORDER BY
+// or LIMIT drains into a rowCount sink, skipping the per-row output cells;
+// the others are sorted and limited first, so they materialize their rows.
+func (ec *execCtx) vecCount(st *SelectStmt, sp *selectPlan, parent *frame) (int, Value, error) {
+	if !sp.vec.grouped && len(st.OrderBy) == 0 && st.Limit == nil {
+		var c rowCount
+		if _, err := ec.vecExecRows(st, sp, parent, &c); err != nil {
+			return 0, Null, err
+		}
+		return c.n, c.first, nil
+	}
+	rows, err := ec.vecExecRows(st, sp, parent, nil)
+	if err != nil || len(rows) == 0 || len(rows[0].row) == 0 {
+		return len(rows), Null, err
+	}
+	return len(rows), rows[0].row[0], nil
 }
 
 // vecExecRows runs the compiled pipeline of one planned SELECT and returns
 // the ordered, limited output rows. Row cells are freshly allocated —
-// nothing aliases the pooled context, which is released on return.
-func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame) ([]sortableRow, error) {
+// nothing aliases the pooled context, which is released on return. With a
+// sink (non-grouped plans only), the projected rows are counted into it
+// instead and no rows are returned.
+func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame, sink *rowCount) ([]sortableRow, error) {
 	vp := sp.vec
 
 	// Bind the tables. Rows stay nil — positions replace them — except
@@ -257,6 +285,12 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame) ([
 			continue
 		}
 
+		if sink != nil {
+			if err := vc.count(b, vp, sink); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		out, err := vc.project(b, vp)
 		if err != nil {
 			return nil, err
@@ -469,6 +503,24 @@ func (vc *vecCtx) project(b *vbatch, vp *vecSelectPlan) ([]sortableRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// count is project into a rowCount sink: every item is evaluated over the
+// batch in project's order, so the same errors surface, but only the row
+// count and the first value are kept.
+func (vc *vecCtx) count(b *vbatch, vp *vecSelectPlan, sink *rowCount) error {
+	c := vc.getCol()
+	defer vc.putCol(c)
+	for j, item := range vp.items {
+		if err := item(vc, b, c); err != nil {
+			return err
+		}
+		if j == 0 && sink.n == 0 && b.n > 0 {
+			sink.first = c.at(0)
+		}
+	}
+	sink.n += b.n
+	return nil
 }
 
 // accumulate folds one batch into the grouped state: evaluate the GROUP BY
