@@ -916,14 +916,15 @@ func setTuple(fr *frame, tp tuple) {
 // join indexes are picked up.
 func (ec *execCtx) seedRows(st *SelectStmt, sp *selectPlan, fr *frame, bt *boundTable) ([]Row, error) {
 	tryLookup := func(col int, val Expr) ([]Row, bool) {
-		if !bt.table.hasIndex(col) {
+		ix := bt.table.index(col)
+		if ix == nil {
 			return nil, false
 		}
 		v, err := ec.eval(val, fr)
 		if err != nil {
 			return nil, false // not evaluable up front; fall back to a scan
 		}
-		positions, _ := bt.table.lookup(col, v)
+		positions := ix.get(v)
 		all := bt.table.scan()
 		rows := make([]Row, len(positions))
 		for i, pos := range positions {
@@ -1091,7 +1092,7 @@ func (ec *execCtx) join(fr *frame, tuples []tuple, jbt *boundTable, on Expr, jp 
 
 	var out []tuple
 	if eqCol >= 0 {
-		jbt.table.createIndex(eqCol)
+		ix := jbt.table.createIndex(eqCol)
 		jrows := jbt.table.scan()
 		for _, tp := range tuples {
 			setTuple(fr, tp)
@@ -1103,8 +1104,7 @@ func (ec *execCtx) join(fr *frame, tuples []tuple, jbt *boundTable, on Expr, jp 
 			if key.IsNull() {
 				continue
 			}
-			positions, _ := jbt.table.lookup(eqCol, key)
-			for _, pos := range positions {
+			for _, pos := range ix.get(key) {
 				r := jrows[pos]
 				ok, err := ec.checkConjuncts(rest, fr, tp, jbt, r)
 				if err != nil {

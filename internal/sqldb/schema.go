@@ -46,10 +46,10 @@ type Table struct {
 	// in place while it is live; updates and deletes drop it, and the next
 	// scan rebuilds it. nil means stale/never built.
 	rowView []Row
-	// indexes maps column position to a hash index from value key to row
-	// positions. Indexes are maintained incrementally on insert and rebuilt
-	// on update/delete.
-	indexes map[int]map[string][]int
+	// indexes holds one typed index per column position (index.go), nil
+	// where the column is not indexed. Indexes are maintained incrementally
+	// on insert and rebuilt on update/delete.
+	indexes []*colIndex
 	// primary is the position of the primary-key column, or -1.
 	primary int
 	// dataVer is the table's data version: every DML statement that changed
@@ -64,7 +64,7 @@ func newTable(name string, cols []Column) (*Table, error) {
 		Name:    name,
 		Columns: cols,
 		colIdx:  make(map[string]int, len(cols)),
-		indexes: make(map[int]map[string][]int),
+		indexes: make([]*colIndex, len(cols)),
 		primary: -1,
 	}
 	for _, c := range cols {
@@ -84,7 +84,7 @@ func newTable(name string, cols []Column) (*Table, error) {
 		}
 	}
 	if t.primary >= 0 {
-		t.indexes[t.primary] = make(map[string][]int)
+		t.indexes[t.primary] = &colIndex{}
 	}
 	return t, nil
 }
@@ -171,8 +171,7 @@ func (t *Table) insert(r Row) error {
 		r[i] = v
 	}
 	if t.primary >= 0 {
-		key := r[t.primary].Key()
-		if len(t.indexes[t.primary][key]) > 0 {
+		if len(t.indexes[t.primary].get(r[t.primary])) > 0 {
 			return fmt.Errorf("sqldb: table %s: duplicate primary key %s", t.Name, r[t.primary])
 		}
 	}
@@ -184,73 +183,51 @@ func (t *Table) insert(r Row) error {
 	if t.rowView != nil {
 		t.rowView = append(t.rowView, r)
 	}
-	for col, idx := range t.indexes {
-		key := r[col].Key()
-		idx[key] = append(idx[key], pos)
+	for col, ix := range t.indexes {
+		if ix != nil {
+			ix.add(r[col], pos)
+		}
 	}
 	return nil
 }
 
-// createIndex builds a hash index over a column if one does not exist yet.
-// It is called lazily from the join planner, so it must be safe under
-// concurrent SELECTs: the double-checked write lock serializes builders.
-func (t *Table) createIndex(col int) {
-	t.mu.RLock()
-	_, ok := t.indexes[col]
-	t.mu.RUnlock()
-	if ok {
-		return
+// createIndex builds the index of a column if it does not exist yet, and
+// returns it. It is called lazily from the join planners, so it must be safe
+// under concurrent SELECTs: the double-checked write lock serializes
+// builders. The returned index is safe to read without the table lock, because
+// index mutations happen only under the exclusive DB statement lock, which
+// excludes all SELECT readers.
+func (t *Table) createIndex(col int) *colIndex {
+	if ix := t.index(col); ix != nil {
+		return ix
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.indexes[col]; ok {
-		return
+	if t.indexes[col] == nil {
+		t.indexes[col] = buildColIndex(t.cols[col], t.nrows)
 	}
-	t.indexes[col] = t.buildIndex(col)
+	return t.indexes[col]
 }
 
-// buildIndex computes a hash index over one column from the column vector.
-// Caller holds t.mu exclusively (or the exclusive DB statement lock).
-func (t *Table) buildIndex(col int) map[string][]int {
-	idx := make(map[string][]int)
-	cv := t.cols[col]
-	for pos := 0; pos < t.nrows; pos++ {
-		key := cv.key(pos)
-		idx[key] = append(idx[key], pos)
-	}
-	return idx
-}
-
-// rebuildIndexes recomputes all indexes after bulk mutation.
+// rebuildIndexes recomputes all indexes after bulk mutation, choosing each
+// index's form afresh.
 func (t *Table) rebuildIndexes() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for col := range t.indexes {
-		t.indexes[col] = t.buildIndex(col)
+	for col, ix := range t.indexes {
+		if ix != nil {
+			t.indexes[col] = buildColIndex(t.cols[col], t.nrows)
+		}
 	}
 }
 
-// hasIndex reports whether the column is indexed.
-func (t *Table) hasIndex(col int) bool {
+// index returns the column's index, or nil if the column is not indexed.
+// Positions it yields index into the snapshot returned by scan; like
+// createIndex's result, it is read without the table lock.
+func (t *Table) index(col int) *colIndex {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, ok := t.indexes[col]
-	return ok
-}
-
-// lookup returns the positions of rows whose indexed column equals v, or
-// (nil, false) if the column is not indexed. The returned slice aliases the
-// index; it is safe to read because index mutations happen only under the
-// exclusive DB statement lock, which excludes all SELECT readers. Positions
-// index into the snapshot returned by scan.
-func (t *Table) lookup(col int, v Value) ([]int, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	idx, ok := t.indexes[col]
-	if !ok {
-		return nil, false
-	}
-	return idx[v.Key()], true
+	return t.indexes[col]
 }
 
 // DB is a database: a set of named tables. All public methods are safe for

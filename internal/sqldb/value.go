@@ -133,17 +133,17 @@ func (v Value) String() string {
 	return "?"
 }
 
-// Key returns a map key identifying the value for grouping and hash joins.
-// Integer-valued REALs hash equal to INTEGERs so that 1 and 1.0 group
-// together, matching comparison semantics.
+// Key returns a map key identifying the value for grouping and the result
+// cache. Integer-valued REALs hash equal to INTEGERs so that 1 and 1.0 group
+// together. Index probes use the typed keys of index.go instead, which also
+// agree with `=` on integers beyond 2^53.
 func (v Value) Key() string {
 	return string(v.AppendKey(nil))
 }
 
 // AppendKey appends the value's Key bytes to buf and returns the extended
-// slice. Probe-heavy paths pair it with a pooled buffer and a string(buf)
-// map access, which the compiler performs without allocating — one index
-// probe then costs no per-value key string.
+// slice. The vectorized grouping pairs it with a pooled buffer, so a group
+// key costs no per-value key string.
 func (v Value) AppendKey(buf []byte) []byte {
 	switch v.kind {
 	case kindNull:

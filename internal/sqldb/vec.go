@@ -191,12 +191,10 @@ type vecCtx struct {
 	groupSeq []*vecGroup
 	pre      map[*ECall]Value
 	argBuf   []*vcol
-	idxBuf   []map[string][]int
-	// probeBuf is the scratch key buffer of hash-index probes (AppendKey +
-	// zero-alloc string(buf) map access); idxPool is a free list of selection
-	// index slices for the AND/OR narrowing.
-	probeBuf []byte
-	idxPool  [][]int32
+	idxBuf   []*colIndex
+	// idxPool is a free list of selection index slices for the AND/OR
+	// narrowing.
+	idxPool [][]int32
 	// fuseVals holds the per-execution comparand values of the fused filter
 	// kernels, one slot per kernel (see vecfuse.go).
 	fuseVals []Value
@@ -1101,10 +1099,8 @@ func (cp *vecCompiler) corrLookup(x *ESubquery, ntab int) (vexpr, bool) {
 	return func(vc *vecCtx, b *vbatch, out *vcol) error {
 		// Grab the probe index once per batch: index mutations happen only
 		// under the exclusive DB statement lock, which excludes SELECTs.
-		t.mu.RLock()
-		idx := t.indexes[keyCol]
-		t.mu.RUnlock()
-		if idx == nil {
+		ix := t.index(keyCol)
+		if ix == nil {
 			return slow(vc, b, out)
 		}
 		kc := vc.getCol()
@@ -1115,10 +1111,8 @@ func (cp *vecCompiler) corrLookup(x *ESubquery, ntab int) (vexpr, bool) {
 		vals := out.alloc(b.n)
 		for i := 0; i < b.n; i++ {
 			kv := kc.at(i)
-			vc.probeBuf = kv.AppendKey(vc.probeBuf[:0])
-			positions := idx[string(vc.probeBuf)]
 			nmatch, matched := 0, -1
-			for _, p := range positions {
+			for _, p := range ix.get(kv) {
 				sv := t.cols[keyCol].value(p)
 				var eqv Value
 				var err error

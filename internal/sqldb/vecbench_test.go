@@ -148,3 +148,58 @@ func BenchmarkEngineSeek(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEngineIndexProbe measures the integer-key index probes the ASL
+// property queries are made of: an equi-join whose every outer row probes the
+// primary key of the joined table (4,096 probes into 100,000 ids), and 64
+// primary-key point-lookup seeds. One iteration runs the join once and the
+// seed once per key.
+func BenchmarkEngineIndexProbe(b *testing.B) {
+	db := benchDB(b, 100_000)
+	if _, err := db.Exec(`CREATE TABLE l (id INTEGER PRIMARY KEY, owner INTEGER, elem INTEGER)`, nil); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 4096; i++ {
+		q := fmt.Sprintf(`INSERT INTO l (id, owner, elem) VALUES (%d, %d, %d)`, i, i/16, (i*37)%100_000)
+		if _, err := db.Exec(q, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	join, err := db.Prepare(`SELECT COUNT(*), SUM(m.val) FROM l JOIN m ON m.id = l.elem`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer join.Close()
+	seek, err := db.Prepare(`SELECT val FROM m WHERE id = ?`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer seek.Close()
+	keys := make([]*Params, 64)
+	for i := range keys {
+		keys[i] = &Params{Positional: []Value{NewInt(int64(i * 1543))}}
+	}
+	run := func() {
+		if _, err := join.Execute(nil); err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range keys {
+			if _, err := seek.Execute(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, engine := range []string{EngineVector, EngineRow} {
+		b.Run(engine, func(b *testing.B) {
+			if err := db.SetEngine(engine); err != nil {
+				b.Fatal(err)
+			}
+			run() // warm the row view outside the timer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}

@@ -142,15 +142,11 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame, si
 	// Nested-loop joins (eqCol < 0) have no index.
 	idxs := vc.idxBuf[:0]
 	for k := range vp.joins {
-		if vp.joins[k].eqCol < 0 {
-			idxs = append(idxs, nil)
-			continue
+		var ix *colIndex
+		if vp.joins[k].eqCol >= 0 {
+			ix = tabs[k+1].createIndex(vp.joins[k].eqCol)
 		}
-		t := tabs[k+1]
-		t.createIndex(vp.joins[k].eqCol)
-		t.mu.RLock()
-		idxs = append(idxs, t.indexes[vp.joins[k].eqCol])
-		t.mu.RUnlock()
+		idxs = append(idxs, ix)
 	}
 	vc.idxBuf = idxs
 
@@ -347,15 +343,15 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame, si
 // fall back to the scan.
 func (ec *execCtx) vecSeed(sp *selectPlan, fr *frame, bt *boundTable, buf []int32) ([]int32, error) {
 	for _, ap := range sp.access {
-		if !bt.table.hasIndex(ap.col) {
+		ix := bt.table.index(ap.col)
+		if ix == nil {
 			continue
 		}
 		v, err := ec.eval(ap.val, fr)
 		if err != nil {
 			continue // not evaluable up front; fall back to a scan
 		}
-		positions, _ := bt.table.lookup(ap.col, v)
-		for _, p := range positions {
+		for _, p := range ix.get(v) {
 			buf = append(buf, int32(p))
 		}
 		return buf, nil
@@ -370,7 +366,7 @@ func (ec *execCtx) vecSeed(sp *selectPlan, fr *frame, bt *boundTable, buf []int3
 // probeJoin expands the batch through one equi-join: evaluate the outer key,
 // skip NULL keys, and emit one output row per index hit, in index position
 // order — the same candidate order as the row engine's lookup loop.
-func (vc *vecCtx) probeJoin(b, nb *vbatch, vj *vecJoin, k int, idx map[string][]int) error {
+func (vc *vecCtx) probeJoin(b, nb *vbatch, vj *vecJoin, k int, ix *colIndex) error {
 	keys := vc.getCol()
 	defer vc.putCol(keys)
 	if err := vj.outer(vc, b, keys); err != nil {
@@ -385,9 +381,7 @@ func (vc *vecCtx) probeJoin(b, nb *vbatch, vj *vecJoin, k int, idx map[string][]
 		if key.IsNull() {
 			continue
 		}
-		vc.probeBuf = key.AppendKey(vc.probeBuf[:0])
-		positions := idx[string(vc.probeBuf)]
-		for _, p := range positions {
+		for _, p := range ix.get(key) {
 			for t := 0; t <= k; t++ {
 				nb.pos[t] = append(nb.pos[t], b.pos[t][i])
 			}
