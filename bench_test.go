@@ -496,11 +496,39 @@ func BenchmarkParallelAnalyze(b *testing.B) {
 // per-call text statements (every property-instance query is re-lexed,
 // re-parsed, re-planned, and charged the vendor's statement-compilation
 // cost) versus prepared statements (each property's query is prepared once
-// per analysis and executed per context). The "text" legs disable the
-// server's plan cache, reproducing the seed behaviour and the plain JDBC
-// Statement path; reports are byte-identical either way (see
-// internal/core TestPreparedMatchesText*).
+// per analysis and executed per context). The "text" legs run over textPool,
+// whose handles ship the SQL text once per binding, and disable the server's
+// plan cache, reproducing the seed behaviour and the plain JDBC Statement
+// path; reports are byte-identical either way (see internal/core
+// TestPreparedMatchesText*).
 // ---------------------------------------------------------------------------
+
+// textPool is E8's text baseline: a pool whose prepared handles execute the
+// statement text per binding, one round trip each.
+type textPool struct{ *godbc.Pool }
+
+func (p textPool) PrepareQuery(sql string) (sqlgen.PreparedQuery, error) {
+	return textStmt{pool: p.Pool, sql: sql}, nil
+}
+
+type textStmt struct {
+	pool *godbc.Pool
+	sql  string
+}
+
+func (s textStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
+	return s.pool.ExecQuery(s.sql, params)
+}
+
+func (s textStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	out := make([]sqlgen.BatchQueryResult, len(bindings))
+	for i, p := range bindings {
+		out[i].Set, out[i].Err = s.pool.ExecQueryContext(ctx, s.sql, p)
+	}
+	return out, nil
+}
+
+func (s textStmt) Close() error { return nil }
 
 func BenchmarkPreparedAnalyze(b *testing.B) {
 	g := mustGraph(b, apprentice.Amdahl(), 2, 4, 8, 16, 32, 64, 128)
@@ -534,11 +562,14 @@ func BenchmarkPreparedAnalyze(b *testing.B) {
 						b.Fatal(err)
 					}
 					defer pool.Close()
-					a := core.New(g, core.WithWorkers(workers),
-						core.WithPreparedStatements(mode == "prepared"))
+					a := core.New(g, core.WithWorkers(workers))
+					var q core.QueryExec = pool
+					if mode == "text" {
+						q = textPool{pool}
+					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						rep, err := a.AnalyzeSQL(run, pool)
+						rep, err := a.AnalyzeSQL(run, q)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -554,7 +585,7 @@ func BenchmarkPreparedAnalyze(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // E9 — the batched execution pipeline: the prepared analysis of E8 executed
-// once per instance ("prepared", one ReqExecPrepared round trip per
+// as batches of one ("prepared", one ReqExecBatch round trip per
 // property × context) versus as array-bound batches ("batch=N", one
 // ReqExecBatch round trip per N contexts of a property). On the remote
 // profile every round trip costs a real ≥2 ms sleep, so the batch size is
@@ -575,7 +606,7 @@ func BenchmarkBatchedAnalyze(b *testing.B) {
 		name  string
 		batch int
 	}{
-		{"prepared", 1}, // per-instance execution of the prepared handle
+		{"prepared", 1}, // one binding per batch
 		{"batch=8", 8},
 		{"batch=32", 32},
 	}

@@ -114,7 +114,7 @@ func render(out *os.File, addr string, snap *service.MetricsSnapshot) {
 			time.Duration(p.CheckoutWait.P99Nanos))
 	}
 	if m := snap.Mux; m != nil {
-		fmt.Fprintf(out, "mux  mode %s  %d in flight  %d requests  %d cancels\n", m.Mode, m.InFlight, m.Requests, m.Cancels)
+		fmt.Fprintf(out, "mux  %d in flight  %d requests  %d cancels\n", m.InFlight, m.Requests, m.Cancels)
 	}
 	if b := snap.Backend; b != nil {
 		fmt.Fprintf(out, "backend  engine %s  vec %d (fallback %d)  plan cache %d/%d hit  %d requests  vendor cost %v\n",

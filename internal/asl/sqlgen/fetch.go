@@ -27,8 +27,8 @@ type PreparedQuery interface {
 }
 
 // QueryPreparer is implemented by executors that support prepared queries
-// (godbc connections, pools, and the embedded engine). Analysis code probes
-// for it and falls back to per-call text execution when absent.
+// (godbc connections, pools, and the embedded engine). The SQL analyses
+// require it and check for it on entry.
 type QueryPreparer interface {
 	PrepareQuery(query string) (PreparedQuery, error)
 }
@@ -43,8 +43,7 @@ type BatchQueryResult struct {
 // BatchPreparedQuery is implemented by prepared queries that support array
 // binding: one call executes the handle once per parameter set, over the
 // wire in a single request. Results are ordered as the bindings; per-binding
-// failures are reported inline and do not abort the batch. Analysis code
-// probes for it and falls back to per-binding ExecQuery calls when absent.
+// failures are reported inline and do not abort the batch.
 type BatchPreparedQuery interface {
 	PreparedQuery
 	ExecQueryBatch(bindings []*sqldb.Params) ([]BatchQueryResult, error)
@@ -53,8 +52,7 @@ type BatchPreparedQuery interface {
 // ContextQueryExecutor is implemented by executors whose text-protocol
 // executions observe a context: pool checkout, the wire round trip, and the
 // profiled vendor delays all return early when the context is canceled.
-// Analysis code probes for it and falls back to the uncancellable call when
-// absent — cancellation then takes effect between executions instead.
+// Client-side analysis binds its context through it when present.
 type ContextQueryExecutor interface {
 	ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error)
 }
@@ -67,7 +65,8 @@ type ContextPreparedQuery interface {
 
 // ContextBatchPreparedQuery is the context-observing array-binding execution
 // of a prepared handle; a canceled batch fails as a whole (no partial result
-// slice), mirroring the transport-failure contract of ExecQueryBatch.
+// slice), mirroring the transport-failure contract of ExecQueryBatch. Every
+// SQL analysis executes through it; the analyses require it of every handle.
 type ContextBatchPreparedQuery interface {
 	ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]BatchQueryResult, error)
 }

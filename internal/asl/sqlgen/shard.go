@@ -30,7 +30,9 @@ type RoutedPreparer interface {
 }
 
 // RoutedExecutor is the text-protocol analogue of RoutedPreparer: one-shot
-// query execution routed by the run id bound under runParam.
+// query execution routed by the run id bound under runParam. No executor
+// implements it any more: analyses run every property prepared. The
+// declaration stays while the benchmark's capability check names it.
 type RoutedExecutor interface {
 	ExecQueryRouted(query, runParam string, params *sqldb.Params) (*sqldb.ResultSet, error)
 }

@@ -10,27 +10,28 @@ import (
 	"repro/internal/sqldb"
 )
 
-// The batched execution pipeline. PR 2 removed the per-execution parse and
-// plan cost; what remained was one client/server round trip per
-// (property × context) instance. Since every context of a property executes
-// the same prepared handle with only the parameters changing, the analyzer
-// groups the contexts per property and ships each group as one array-bound
-// batch (sqlgen.BatchPreparedQuery): one round trip per batch instead of one
-// per instance. Chunking by the batch size bounds request and response
-// sizes; chunks are independent work items for the worker pool, so batching
-// composes with parallel evaluation. Results are written into the same
-// pre-assigned enumeration-order slots as ever, so batched reports render
-// byte-identical to unbatched ones at any worker count.
+// The batched execution pipeline. Prepared statements removed the
+// per-execution parse and plan cost; what remained was one client/server
+// round trip per (property × context) instance. Since every context of a
+// property executes the same prepared handle with only the parameters
+// changing, the analyzer groups the contexts per property and ships each
+// group as one array-bound batch (sqlgen.ContextBatchPreparedQuery): one
+// round trip per batch instead of one per instance. Chunking by the batch
+// size bounds request and response sizes; chunks are independent work items
+// for the worker pool, so batching composes with parallel evaluation.
+// Results are written into pre-assigned enumeration-order slots, so reports
+// render byte-identical at every batch size and worker count.
+//
+// This is the only execution path of the SQL engines: batch size 1 ships
+// batches of one binding.
 
 // DefaultBatchSize is the number of parameter sets shipped per batched
 // request when no explicit size is configured.
 const DefaultBatchSize = 32
 
 // WithBatchSize sets the number of context instances executed per batched
-// request on the SQL engines: n > 1 batches in chunks of n, n = 1 forces the
-// per-instance execution of the prepared pipeline, and n <= 0 selects
-// DefaultBatchSize. Executors without batch support fall back to
-// per-instance execution regardless.
+// request on the SQL engines: n >= 1 batches in chunks of n (1 ships every
+// instance alone), and n <= 0 selects DefaultBatchSize.
 func WithBatchSize(n int) Option { return func(a *Analyzer) { a.batchSize = n } }
 
 // SetBatchSize changes the batch size after construction; the value is
@@ -45,29 +46,50 @@ func (a *Analyzer) BatchSize() int {
 	return a.batchSize
 }
 
+// batchStmt is the prepared handle the SQL engines execute through: a
+// prepared query whose array binding observes a context.
+type batchStmt interface {
+	sqlgen.PreparedQuery
+	sqlgen.ContextBatchPreparedQuery
+}
+
+// errUnsupported marks an executor that lacks what the SQL engines need. It
+// aborts an analysis (see fatalExecErr).
+var errUnsupported = errors.New("core: unsupported executor")
+
+// batchPreparer is the entry check of the SQL engines: the executor must
+// prepare statements.
+func batchPreparer(q QueryExec) (sqlgen.QueryPreparer, error) {
+	p, ok := q.(sqlgen.QueryPreparer)
+	if !ok {
+		return nil, fmt.Errorf("%w: %T does not prepare statements (no PrepareQuery, sqlgen.QueryPreparer)", errUnsupported, q)
+	}
+	return p, nil
+}
+
+// asBatchStmt checks that a prepared handle runs context-observing batches.
+func asBatchStmt(pq sqlgen.PreparedQuery) (batchStmt, error) {
+	bs, ok := pq.(batchStmt)
+	if !ok {
+		return nil, fmt.Errorf("%w: prepared statement %T has no ExecQueryBatchContext (sqlgen.ContextBatchPreparedQuery)", errUnsupported, pq)
+	}
+	return bs, nil
+}
+
 // chunk is one worker-pool unit of a SQL analysis: a run of consecutive
-// enumerated items that share a property and execute as one batch (n > 1
-// requires the property's handle to support array binding).
+// enumerated items that share a property and execute as one batch.
 type chunk struct {
 	start, n int
 }
 
-// batchChunks slices the enumerated items into execution units. Items whose
-// property cannot batch (no prepared handle, the handle does not support
-// array binding, or batching disabled) become single-instance chunks running
-// the exact per-instance path.
+// batchChunks slices the enumerated items into execution units of at most
+// BatchSize items of one property.
 func (a *Analyzer) batchChunks(items []evalItem) []chunk {
 	size := a.BatchSize()
 	var chunks []chunk
 	for i := 0; i < len(items); {
-		it := items[i]
-		if it.sqlProp == nil || it.sqlProp.bq == nil || size <= 1 {
-			chunks = append(chunks, chunk{start: i, n: 1})
-			i++
-			continue
-		}
 		n := 1
-		for i+n < len(items) && n < size && items[i+n].sqlProp == it.sqlProp {
+		for i+n < len(items) && n < size && items[i+n].sqlProp == items[i].sqlProp {
 			n++
 		}
 		chunks = append(chunks, chunk{start: i, n: n})
@@ -84,12 +106,13 @@ func (a *Analyzer) batchChunks(items []evalItem) []chunk {
 type abortSentinel interface{ ShardAddr() string }
 
 // fatalExecErr reports whether an execution error must abort the analysis:
-// a shard loss, or the analysis context being canceled — a canceled caller
-// has stopped waiting, so executing the remaining instances would spend
-// capacity on a report nobody reads.
+// a shard loss, an unsupported executor, or the analysis context being
+// canceled — a canceled caller has stopped waiting, so executing the
+// remaining instances would spend capacity on a report nobody reads.
 func fatalExecErr(err error) bool {
 	var se abortSentinel
 	return errors.As(err, &se) ||
+		errors.Is(err, errUnsupported) ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded)
 }
@@ -125,21 +148,13 @@ func (f *analysisAbort) Err() error {
 }
 
 // evalSQLCtxs evaluates the contexts of one compiled property, writing one
-// Instance per context into out (out[i] belongs to ctxs[i]). When the
-// prepared handle supports array binding and batching is enabled, every
-// context executes through batched requests; otherwise each context pays its
-// own execution, the per-instance prepared (or text) path. Shard losses are
-// recorded in fail as well as diagnosed; once one is recorded, remaining
-// contexts are diagnosed without executing — the analysis is already doomed
-// to abort, and issuing more requests at a dead shard would pay a timeout
-// apiece for a report that will be discarded.
-func (a *Analyzer) evalSQLCtxs(ctx context.Context, q QueryExec, c *compiledProp, prop string, ctxs []instCtx, out []Instance, fail *analysisAbort) {
-	if err := ctx.Err(); err != nil {
-		fail.record(err)
-	}
-	if aborted(prop, ctxs, out, fail) {
-		return
-	}
+// Instance per context into out (out[i] belongs to ctxs[i]), in batches of
+// up to BatchSize contexts. Shard losses are recorded in fail as well as
+// diagnosed; once one is recorded, remaining contexts are diagnosed without
+// executing — the analysis is already doomed to abort, and issuing more
+// requests at a dead shard would pay a timeout apiece for a report that will
+// be discarded.
+func (a *Analyzer) evalSQLCtxs(ctx context.Context, c *compiledProp, prop string, ctxs []instCtx, out []Instance, fail *analysisAbort) {
 	// Validate every context's bindings against the compiled parameter list
 	// before anything executes, and fill the positional slice when the
 	// dialect renders positional markers. A mismatch is systematic — every
@@ -158,26 +173,6 @@ func (a *Analyzer) evalSQLCtxs(ctx context.Context, q QueryExec, c *compiledProp
 		}
 	}
 	size := a.BatchSize()
-	if c.bq == nil || size <= 1 {
-		for i, ictx := range ctxs {
-			if err := ctx.Err(); err != nil {
-				fail.record(err)
-			}
-			if aborted(prop, ctxs[i:], out[i:], fail) {
-				return
-			}
-			in := Instance{Property: prop, Context: ictx.label}
-			set, err := c.exec(ctx, q, ictx.params)
-			if err != nil {
-				fail.record(err)
-				in.Diagnostic = err.Error()
-			} else {
-				in.Outcome = interpretRow(c.cp, set)
-			}
-			out[i] = in
-		}
-		return
-	}
 	for start := 0; start < len(ctxs); start += size {
 		end := min(start+size, len(ctxs))
 		if err := ctx.Err(); err != nil {
@@ -206,21 +201,13 @@ func aborted(prop string, ctxs []instCtx, out []Instance, fail *analysisAbort) b
 
 // evalSQLBatch ships one chunk of contexts as a single batched request. A
 // batch-level failure (transport, closed handle) diagnoses every context of
-// the chunk, mirroring what per-instance execution of the same failing
-// statement would report; per-binding failures diagnose only their own
-// context.
+// the chunk; per-binding failures diagnose only their own context.
 func (a *Analyzer) evalSQLBatch(ctx context.Context, c *compiledProp, prop string, ctxs []instCtx, out []Instance, fail *analysisAbort) {
 	bindings := make([]*sqldb.Params, len(ctxs))
 	for i, ictx := range ctxs {
 		bindings[i] = ictx.params
 	}
-	var results []sqlgen.BatchQueryResult
-	var err error
-	if cb, ok := c.bq.(sqlgen.ContextBatchPreparedQuery); ok && ctx.Done() != nil {
-		results, err = cb.ExecQueryBatchContext(ctx, bindings)
-	} else {
-		results, err = c.bq.ExecQueryBatch(bindings)
-	}
+	results, err := c.stmt.ExecQueryBatchContext(ctx, bindings)
 	if err == nil && len(results) != len(ctxs) {
 		err = fmt.Errorf("core: batch returned %d results for %d bindings", len(results), len(ctxs))
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -13,12 +14,11 @@ import (
 
 // The batched pipeline must be invisible in the output: for every executor,
 // batch size, and worker count, the report produced with batched execution
-// is byte-identical to the per-instance prepared one and to the per-call
+// is byte-identical to the batch-of-one one and to the per-call
 // text-protocol one. Run with -race to exercise concurrent batches.
 
-// TestBatchedMatchesUnbatchedEmbedded compares text, per-instance prepared,
-// and batched execution on the embedded engine for every library workload at
-// workers 1 and 8.
+// TestBatchedMatchesUnbatchedEmbedded compares text and batched execution on
+// the embedded engine for every library workload at workers 1 and 8.
 func TestBatchedMatchedUnbatchedEmbedded(t *testing.T) {
 	for name, w := range apprentice.Library() {
 		t.Run(name, func(t *testing.T) {
@@ -27,8 +27,8 @@ func TestBatchedMatchedUnbatchedEmbedded(t *testing.T) {
 			run := lastRun(g)
 			q := godbc.Embedded{DB: db}
 
-			text := New(g, WithPreparedStatements(false))
-			want := renderWith(t, text, 1, func() (*Report, error) { return text.AnalyzeSQL(run, q) })
+			text := New(g)
+			want := renderWith(t, text, 1, func() (*Report, error) { return text.AnalyzeSQL(run, textExec{q}) })
 			for _, batch := range []int{2, 5, DefaultBatchSize} {
 				for _, workers := range []int{1, 8} {
 					batched := New(g, WithBatchSize(batch))
@@ -44,7 +44,7 @@ func TestBatchedMatchedUnbatchedEmbedded(t *testing.T) {
 }
 
 // TestBatchedMatchesUnbatchedOverPool drives the full networked stack: the
-// pool's batched requests must reproduce the serial per-instance report byte
+// pool's batched requests must reproduce the serial batch-of-one report byte
 // for byte at workers 1 and 8, and the server must actually have served
 // batches.
 func TestBatchedMatchesUnbatchedOverPool(t *testing.T) {
@@ -111,7 +111,7 @@ type countingBatchPreparer struct {
 	godbc.Embedded
 
 	mu       sync.Mutex
-	batches  int // ExecQueryBatch calls
+	batches  int // ExecQueryBatchContext calls
 	bindings int // parameter sets shipped in them
 	perExec  int // per-instance ExecQuery calls on prepared handles
 }
@@ -121,34 +121,34 @@ func (c *countingBatchPreparer) PrepareQuery(sql string) (sqlgen.PreparedQuery, 
 	if err != nil {
 		return nil, err
 	}
-	return &countingBatchStmt{parent: c, bq: pq.(sqlgen.BatchPreparedQuery)}, nil
+	return &countingBatchStmt{parent: c, bs: pq.(batchStmt)}, nil
 }
 
 type countingBatchStmt struct {
 	parent *countingBatchPreparer
-	bq     sqlgen.BatchPreparedQuery
+	bs     batchStmt
 }
 
 func (s *countingBatchStmt) ExecQuery(p *sqldb.Params) (*sqldb.ResultSet, error) {
 	s.parent.mu.Lock()
 	s.parent.perExec++
 	s.parent.mu.Unlock()
-	return s.bq.ExecQuery(p)
+	return s.bs.ExecQuery(p)
 }
 
-func (s *countingBatchStmt) ExecQueryBatch(b []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+func (s *countingBatchStmt) ExecQueryBatchContext(ctx context.Context, b []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
 	s.parent.mu.Lock()
 	s.parent.batches++
 	s.parent.bindings += len(b)
 	s.parent.mu.Unlock()
-	return s.bq.ExecQueryBatch(b)
+	return s.bs.ExecQueryBatchContext(ctx, b)
 }
 
-func (s *countingBatchStmt) Close() error { return s.bq.Close() }
+func (s *countingBatchStmt) Close() error { return s.bs.Close() }
 
-// TestAnalyzeSQLBatchesEveryContext: with batching on, every context reaches
-// the database inside a batch — zero per-instance executions — and the batch
-// count reflects the chunking; with batchsize 1, batching is off entirely.
+// TestAnalyzeSQLBatchesEveryContext: every context reaches the database
+// inside a batch — zero per-instance executions — and the batch count
+// reflects the chunking; with batchsize 1, every batch carries one binding.
 func TestAnalyzeSQLBatchesEveryContext(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())
 	db := loadDB(t, g)
@@ -176,11 +176,11 @@ func TestAnalyzeSQLBatchesEveryContext(t *testing.T) {
 	if _, err := a2.AnalyzeSQL(run, q2); err != nil {
 		t.Fatal(err)
 	}
-	if q2.batches != 0 {
-		t.Errorf("%d batches with batching disabled", q2.batches)
+	if q2.perExec != 0 {
+		t.Errorf("%d per-instance executions with batch size 1", q2.perExec)
 	}
-	if q2.perExec != total {
-		t.Errorf("%d per-instance executions for %d instances with batching disabled", q2.perExec, total)
+	if q2.batches != total || q2.bindings != total {
+		t.Errorf("batch size 1 shipped %d batches with %d bindings for %d instances", q2.batches, q2.bindings, total)
 	}
 }
 

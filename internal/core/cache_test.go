@@ -120,7 +120,7 @@ func TestCachedShardedDeterminism(t *testing.T) {
 }
 
 // TestCachedBatchSizesDeterminism: the cache composes with every batch size —
-// per-instance prepared execution, small batches, and the default — without
+// batches of one, small batches, and the default — without
 // changing the report.
 func TestCachedBatchSizesDeterminism(t *testing.T) {
 	g := buildGraph(t, apprentice.Particles())

@@ -6,10 +6,9 @@ package core
 // it is — queued, mid-batch, or idle in a profiled vendor delay — instead of
 // letting abandoned work occupy the capacity other tenants are waiting for.
 //
-// Cancellation propagates layer by layer (each layer is probed for context
-// support and falls back to the uncancellable call when it has none):
+// Cancellation propagates layer by layer:
 //
-//	core      between chunks and instances (this package)
+//	core      between chunks (this package)
 //	godbc     pool checkout, the wire round trip, ReqCancel on MuxConn
 //	wire      server-side capacity queue, profiled vendor delays
 //	sqldb     between the bindings of a batched execution

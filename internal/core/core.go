@@ -147,16 +147,6 @@ func WithSQLDialect(name string) Option {
 	return func(a *Analyzer) { a.dialect = name }
 }
 
-// WithPreparedStatements controls whether the SQL engines use prepared
-// statements when the executor supports them (on by default). Each
-// property's compiled query is then parsed and planned once per analysis and
-// executed once per context with fresh parameters; disabling it forces the
-// per-call text protocol, the configuration the prepared benchmarks compare
-// against.
-func WithPreparedStatements(on bool) Option {
-	return func(a *Analyzer) { a.noPrepare = !on }
-}
-
 // Analyzer evaluates the canonical property set over a materialized graph.
 // Property instances are evaluated on a bounded worker pool (see WithWorkers
 // and parallel.go); results are merged deterministically, so reports do not
@@ -170,10 +160,8 @@ type Analyzer struct {
 	consts     map[string]float64
 	// workers is the evaluation worker count; <= 0 means GOMAXPROCS.
 	workers int
-	// noPrepare forces per-call text execution on the SQL engines.
-	noPrepare bool
 	// batchSize is the number of context instances per batched request on
-	// the SQL engines; <= 0 means DefaultBatchSize, 1 disables batching.
+	// the SQL engines; <= 0 means DefaultBatchSize.
 	batchSize int
 	// dialect is the SQL dialect properties are rendered in; "" means the
 	// canonical kojakdb dialect.
@@ -467,26 +455,18 @@ type evalItem struct {
 	sqlProp *compiledProp
 }
 
-// compiledProp is one property's compiled query: the SQL text (rendered in
-// the analyzer's dialect, with constant overrides applied), the compiler's
-// column layout, and — when the executor supports it — a prepared handle
-// shared by every context of the property.
+// compiledProp is one property's compiled query: the compiler's column
+// layout and the prepared handle, shared by every context of the property,
+// of the SQL text (rendered in the analyzer's dialect, with constant
+// overrides applied).
 type compiledProp struct {
-	sql string
-	cp  *sqlgen.CompiledProperty
+	cp *sqlgen.CompiledProperty
 	// paramOrder is the rendered marker order of a positional-marker dialect;
 	// nil for named-marker dialects (kojakdb, oracle7). When set, each
 	// context's positional parameters are filled from its named bindings
 	// before execution.
 	paramOrder []string
-	pq         sqlgen.PreparedQuery // nil on the text-protocol path
-	// bq is the handle's array-binding interface, non-nil when the executor
-	// can run a whole batch of contexts in one request (see batch.go).
-	bq sqlgen.BatchPreparedQuery
-	// runParam names the property's TestRun-typed parameter, the routing key
-	// of sharded executors: every execution goes to the shard owning the run
-	// bound under this name.
-	runParam string
+	stmt       batchStmt
 }
 
 // runParam returns the name of a property's TestRun-typed parameter, or ""
@@ -504,12 +484,12 @@ func (a *Analyzer) runParam(prop string) string {
 	return ""
 }
 
-// compileProp compiles a property for the SQL engines and prepares its query
-// when a preparer is available. Sharded executors (sqlgen.RoutedPreparer)
-// are handed the property's run parameter so every execution routes to the
-// shard owning its context's run. A failed prepare falls back to per-call
-// text execution so instance-level diagnostics match the text path — errors
-// never abort a run.
+// compileProp compiles a property for the SQL engines and prepares its
+// query. Sharded executors (sqlgen.RoutedPreparer) are handed the property's
+// run parameter so every execution routes to the shard owning its context's
+// run. The executor runs a statement the engine refuses to prepare as text
+// (see godbc), so a prepare error here is an executor failure, not a
+// property diagnostic.
 func (a *Analyzer) compileProp(prop string, preparer sqlgen.QueryPreparer) (*compiledProp, error) {
 	cp, err := sqlgen.CompileProperty(a.world, prop)
 	if err != nil {
@@ -531,50 +511,28 @@ func (a *Analyzer) compileProp(prop string, preparer sqlgen.QueryPreparer) (*com
 	if err != nil {
 		return nil, err
 	}
-	c := &compiledProp{sql: sql, cp: cp, runParam: a.runParam(prop), paramOrder: paramOrder}
-	if preparer != nil {
-		var pq sqlgen.PreparedQuery
-		if rp, ok := preparer.(sqlgen.RoutedPreparer); ok && c.runParam != "" {
-			pq, err = rp.PrepareRoutedQuery(sql, c.runParam)
-		} else {
-			pq, err = preparer.PrepareQuery(sql)
-		}
-		if err == nil {
-			c.pq = pq
-			c.bq, _ = pq.(sqlgen.BatchPreparedQuery)
-		}
+	// The run parameter is the routing key of sharded executors: every
+	// execution goes to the shard owning the run bound under this name.
+	var pq sqlgen.PreparedQuery
+	runParam := a.runParam(prop)
+	if rp, ok := preparer.(sqlgen.RoutedPreparer); ok && runParam != "" {
+		pq, err = rp.PrepareRoutedQuery(sql, runParam)
+	} else {
+		pq, err = preparer.PrepareQuery(sql)
 	}
-	return c, nil
+	if err != nil {
+		return nil, fmt.Errorf("core: preparing %s: %w", prop, err)
+	}
+	stmt, err := asBatchStmt(pq)
+	if err != nil {
+		pq.Close()
+		return nil, err
+	}
+	return &compiledProp{cp: cp, paramOrder: paramOrder, stmt: stmt}, nil
 }
 
-// exec runs the property query for one context's parameters, routing by run
-// on sharded executors when no prepared handle exists. When ctx can be
-// canceled and the handle (or executor) offers a context-observing execution,
-// the call goes through it; otherwise cancellation takes effect between
-// executions instead (the caller checks).
-func (c *compiledProp) exec(ctx context.Context, q QueryExec, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	cancelable := ctx.Done() != nil
-	if c.pq != nil {
-		if cq, ok := c.pq.(sqlgen.ContextPreparedQuery); ok && cancelable {
-			return cq.ExecQueryContext(ctx, params)
-		}
-		return c.pq.ExecQuery(params)
-	}
-	if re, ok := q.(sqlgen.RoutedExecutor); ok && c.runParam != "" {
-		return re.ExecQueryRouted(c.sql, c.runParam, params)
-	}
-	if ce, ok := q.(sqlgen.ContextQueryExecutor); ok && cancelable {
-		return ce.ExecQueryContext(ctx, c.sql, params)
-	}
-	return q.ExecQuery(c.sql, params)
-}
-
-// close releases the prepared handle, if any.
-func (c *compiledProp) close() {
-	if c.pq != nil {
-		c.pq.Close()
-	}
-}
+// close releases the prepared handle.
+func (c *compiledProp) close() { c.stmt.Close() }
 
 // enumerate lists every property instance of a scope in the canonical
 // (property order × context order) sequence. This sequence is the merge
@@ -660,16 +618,13 @@ type QueryExec = sqlgen.QueryExecutor
 // This is the paper's preferred configuration: conditions and severity
 // expressions run entirely inside the database.
 //
-// When the executor supports prepared statements (godbc connections, pools,
-// and the embedded engine), each property's query is prepared once and
-// executed once per context with only the parameters changing — the
-// PreparedStatement usage of the measured JDBC deployments. Otherwise (or
-// with WithPreparedStatements(false)) every instance ships the query text.
-//
-// When the prepared handle additionally supports array binding, the contexts
-// of each property are shipped as batched requests of up to BatchSize
-// parameter sets — one round trip per batch instead of one per instance (see
-// batch.go). Reports are byte-identical across all three execution modes.
+// Each property's query is prepared once and executed with only the
+// parameters changing — the PreparedStatement usage of the measured JDBC
+// deployments. The contexts of each property ship as array-bound batches of
+// up to BatchSize parameter sets: one round trip per batch instead of one
+// per instance (see batch.go). The executor must prepare statements
+// (sqlgen.QueryPreparer) whose handles run context-observing batches
+// (sqlgen.ContextBatchPreparedQuery); every godbc executor does.
 //
 // Queries are issued from the worker pool when q is safe for concurrent use
 // (godbc.Pool keeps one connection per in-flight query; godbc.Embedded
@@ -680,17 +635,19 @@ func (a *Analyzer) AnalyzeSQL(run *model.TestRun, q QueryExec) (*Report, error) 
 }
 
 // AnalyzeSQLCtx is AnalyzeSQL observing a context. Cancellation propagates
-// into every layer the executor supports it in — pool checkout, the wire
-// round trip, per-binding batch progress, profiled vendor delays — and is
-// additionally checked between chunks here, so executors without context
-// support still stop within one chunk of the cancel. A canceled analysis
-// returns the context's error, never a partial report.
+// into every layer below — pool checkout, the wire round trip, per-binding
+// batch progress, profiled vendor delays — and is additionally checked
+// between chunks here. A canceled analysis returns the context's error,
+// never a partial report.
 func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q QueryExec) (*Report, error) {
+	preparer, err := batchPreparer(q)
+	if err != nil {
+		return nil, err
+	}
 	sc, err := a.scopeFromGraph(run)
 	if err != nil {
 		return nil, err
 	}
-	preparer := a.preparer(q)
 	var props []*compiledProp
 	defer func() {
 		for _, c := range props {
@@ -718,7 +675,7 @@ func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q Quer
 			ctxs[j] = items[ch.start+j].ctx
 		}
 		it := items[ch.start]
-		a.evalSQLCtxs(ctx, q, it.sqlProp, it.prop, ctxs, instances[ch.start:ch.start+ch.n], fail)
+		a.evalSQLCtxs(ctx, it.sqlProp, it.prop, ctxs, instances[ch.start:ch.start+ch.n], fail)
 	})
 	// A lost shard aborts the analysis: a report missing one shard's answers
 	// is not a smaller report, it is a wrong one. Cancellation aborts the
@@ -731,16 +688,6 @@ func (a *Analyzer) AnalyzeSQLCtx(ctx context.Context, run *model.TestRun, q Quer
 		return nil, err
 	}
 	return a.finish("sql", run.NoPe, instances), nil
-}
-
-// preparer returns the executor's prepared-statement interface, or nil when
-// unsupported or disabled.
-func (a *Analyzer) preparer(q QueryExec) sqlgen.QueryPreparer {
-	if a.noPrepare {
-		return nil
-	}
-	p, _ := q.(sqlgen.QueryPreparer)
-	return p
 }
 
 // overrideConsts applies constant overrides to a property's rendered SQL.

@@ -25,12 +25,12 @@ func TestDialectDeterminism(t *testing.T) {
 
 	for _, name := range build.Names() {
 		t.Run(name, func(t *testing.T) {
-			for _, prepared := range []bool{true, false} {
-				a := New(g, WithSQLDialect(name), WithPreparedStatements(prepared))
-				got := renderWith(t, a, 4, func() (*Report, error) { return a.AnalyzeSQL(run, q) })
+			for _, exec := range []QueryExec{q, textExec{q}} {
+				a := New(g, WithSQLDialect(name))
+				got := renderWith(t, a, 4, func() (*Report, error) { return a.AnalyzeSQL(run, exec) })
 				if got != want {
-					t.Errorf("prepared=%v report differs from kojakdb:\n--- kojakdb ---\n%s--- %s ---\n%s",
-						prepared, want, name, got)
+					t.Errorf("%T report differs from kojakdb:\n--- kojakdb ---\n%s--- %s ---\n%s",
+						exec, want, name, got)
 				}
 			}
 		})

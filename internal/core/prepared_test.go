@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/apprentice"
@@ -15,6 +18,37 @@ import (
 // byte-identical to the per-call text-protocol one. Run with -race to
 // exercise concurrent executions of the shared prepared handles.
 
+// textExec runs the per-call text protocol through the analyzer's one
+// execution path: its handles ship the SQL text once per binding.
+type textExec struct{ q QueryExec }
+
+func (e textExec) ExecQuery(sql string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	return e.q.ExecQuery(sql, params)
+}
+
+func (e textExec) PrepareQuery(sql string) (sqlgen.PreparedQuery, error) {
+	return textHandle{q: e.q, sql: sql}, nil
+}
+
+type textHandle struct {
+	q   QueryExec
+	sql string
+}
+
+func (h textHandle) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
+	return h.q.ExecQuery(h.sql, params)
+}
+
+func (h textHandle) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	out := make([]sqlgen.BatchQueryResult, len(bindings))
+	for i, p := range bindings {
+		out[i].Set, out[i].Err = h.q.ExecQuery(h.sql, p)
+	}
+	return out, nil
+}
+
+func (h textHandle) Close() error { return nil }
+
 // TestPreparedMatchesTextEmbedded compares prepared and text execution on
 // the embedded engine for every library workload.
 func TestPreparedMatchesTextEmbedded(t *testing.T) {
@@ -25,9 +59,9 @@ func TestPreparedMatchesTextEmbedded(t *testing.T) {
 			run := lastRun(g)
 			q := godbc.Embedded{DB: db}
 
-			text := New(g, WithPreparedStatements(false))
+			text := New(g)
 			prepared := New(g)
-			want := renderWith(t, text, 1, func() (*Report, error) { return text.AnalyzeSQL(run, q) })
+			want := renderWith(t, text, 1, func() (*Report, error) { return text.AnalyzeSQL(run, textExec{q}) })
 			for _, workers := range []int{1, 8} {
 				got := renderWith(t, prepared, workers, func() (*Report, error) { return prepared.AnalyzeSQL(run, q) })
 				if got != want {
@@ -59,8 +93,8 @@ func TestPreparedMatchesTextOverPool(t *testing.T) {
 	defer pool.Close()
 
 	run := lastRun(g)
-	text := New(g, WithPreparedStatements(false))
-	want := renderWith(t, text, 1, func() (*Report, error) { return text.AnalyzeSQL(run, pool) })
+	text := New(g)
+	want := renderWith(t, text, 1, func() (*Report, error) { return text.AnalyzeSQL(run, textExec{pool}) })
 	prepared := New(g)
 	for _, workers := range []int{1, 8} {
 		got := renderWith(t, prepared, workers, func() (*Report, error) { return prepared.AnalyzeSQL(run, pool) })
@@ -176,5 +210,45 @@ func TestAnalyzeSQLPreparesOncePerProperty(t *testing.T) {
 	}
 	if q.textExecs != 0 {
 		t.Fatalf("%d text executions on the prepared path", q.textExecs)
+	}
+}
+
+// plainPreparer prepares handles without context-observing array binding.
+type plainPreparer struct{ godbc.Embedded }
+
+func (plainPreparer) PrepareQuery(string) (sqlgen.PreparedQuery, error) { return plainStmt{}, nil }
+
+type plainStmt struct{}
+
+func (plainStmt) ExecQuery(*sqldb.Params) (*sqldb.ResultSet, error) {
+	return nil, errors.New("plainStmt executed")
+}
+
+func (plainStmt) Close() error { return nil }
+
+// TestUnsupportedExecutorFailsAnalysis: an executor that does not prepare
+// statements, or whose handles do not run context-observing batches, gets an
+// error naming what is missing from both SQL analyses — never a panic, never
+// a report.
+func TestUnsupportedExecutorFailsAnalysis(t *testing.T) {
+	g := buildGraph(t, apprentice.Particles())
+	db := loadDB(t, g)
+	run := lastRun(g)
+	for _, tc := range []struct {
+		q    QueryExec
+		want string
+	}{
+		{godbc.CursorQuery{}, "does not prepare statements"}, // text-only: ExecQuery alone
+		{plainPreparer{godbc.Embedded{DB: db}}, "ExecQueryBatchContext"},
+	} {
+		a := New(g)
+		rep, err := a.AnalyzeSQL(run, tc.q)
+		if !errors.Is(err, errUnsupported) || !strings.Contains(err.Error(), tc.want) || rep != nil {
+			t.Errorf("AnalyzeSQL over %T: report=%v err=%v, want an error naming %q", tc.q, rep != nil, err, tc.want)
+		}
+		grep, _, err := a.AnalyzeGuidedSQL(run, DefaultHierarchy(), tc.q)
+		if !errors.Is(err, errUnsupported) || !strings.Contains(err.Error(), tc.want) || grep != nil {
+			t.Errorf("AnalyzeGuidedSQL over %T: report=%v err=%v, want an error naming %q", tc.q, grep != nil, err, tc.want)
+		}
 	}
 }

@@ -136,12 +136,15 @@ func (a *Analyzer) AnalyzeGuided(run *model.TestRun, h Hierarchy) (*Report, *Sea
 // AnalyzeGuidedSQL runs the same refinement-driven search with the compiled
 // SQL queries executed inside the database. The search revisits each
 // property across many contexts as it descends the region tree, so each
-// property's query is prepared once, on first use, and executed per context
-// when the executor supports prepared statements. The contexts a search step
-// opens up are evaluated together, so on batch-capable executors each step
-// costs one round trip per BatchSize contexts rather than one per context.
+// property's query is prepared once, on first use. The contexts a search
+// step opens up are evaluated together, so each step costs one round trip
+// per BatchSize contexts rather than one per context. The executor must
+// satisfy what AnalyzeSQL requires.
 func (a *Analyzer) AnalyzeGuidedSQL(run *model.TestRun, h Hierarchy, q QueryExec) (*Report, *SearchStats, error) {
-	preparer := a.preparer(q)
+	preparer, err := batchPreparer(q)
+	if err != nil {
+		return nil, nil, err
+	}
 	// The memo caches failures too, so a property that does not compile
 	// produces its diagnostic once per context without recompiling.
 	type compileResult struct {
@@ -169,17 +172,19 @@ func (a *Analyzer) AnalyzeGuidedSQL(run *model.TestRun, h Hierarchy, q QueryExec
 		out := make([]Instance, len(ctxs))
 		c, err := compile(prop)
 		if err != nil {
+			fail.record(err) // an unsupported executor aborts the search
 			for i, ctx := range ctxs {
 				out[i] = Instance{Property: prop, Context: ctx.label, Outcome: Outcome{Diagnostic: err.Error()}}
 			}
 			return out
 		}
-		a.evalSQLCtxs(context.Background(), q, c, prop, ctxs, out, fail)
+		a.evalSQLCtxs(context.Background(), c, prop, ctxs, out, fail)
 		return out
 	}
 	rep, stats, err := a.analyzeGuided(run, h, "guided-sql", evalGroup)
 	if err == nil {
-		// A lost shard aborts the search; see AnalyzeSQL.
+		// A lost shard or an unsupported executor aborts the search; see
+		// AnalyzeSQL.
 		if ferr := fail.Err(); ferr != nil {
 			return nil, nil, ferr
 		}

@@ -4,14 +4,11 @@ package godbc
 // Bindings accumulated on a prepared statement are shipped to the server in
 // one ReqExecBatch round trip (split transparently when they exceed the
 // protocol's MaxBatch), so N executions of the same statement cost one
-// client/server round trip instead of N. Against a server that predates the
-// batch extension the statement falls back to per-execution round trips —
-// same results, pre-batch cost.
+// client/server round trip instead of N.
 
 import (
+	"context"
 	"fmt"
-	"strings"
-	"time"
 
 	"repro/internal/asl/sqlgen"
 	"repro/internal/sqldb"
@@ -45,184 +42,86 @@ func (st *Stmt) ExecuteBatch() ([]BatchResult, error) {
 // wire.MaxBatch are split into multiple requests; results are returned in
 // binding order regardless of the split.
 func (st *Stmt) ExecBatch(bindings []*sqldb.Params) ([]BatchResult, error) {
-	if st.closed {
-		return nil, fmt.Errorf("godbc: prepared statement is closed")
-	}
-	out := make([]BatchResult, 0, len(bindings))
-	for start := 0; start < len(bindings); start += wire.MaxBatch {
-		end := min(start+wire.MaxBatch, len(bindings))
-		chunk, err := st.execBatchChunk(bindings[start:end])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
+	return st.execBatch(context.Background(), bindings)
 }
-
-func (st *Stmt) execBatchChunk(bindings []*sqldb.Params) ([]BatchResult, error) {
-	if len(bindings) == 0 {
-		return nil, nil
-	}
-	if !st.conn.noBatch {
-		req := &wire.Request{Kind: wire.ReqExecBatch, StmtID: st.id, Batch: make([]wire.BatchBinding, len(bindings))}
-		for i, p := range bindings {
-			req.Batch[i] = toBinding(p)
-		}
-		resp, err := st.conn.roundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case resp.Err == "":
-			if len(resp.Items) != len(bindings) {
-				return nil, fmt.Errorf("godbc: batch returned %d results for %d bindings", len(resp.Items), len(bindings))
-			}
-			out := make([]BatchResult, len(resp.Items))
-			for i, item := range resp.Items {
-				if item.Err != "" {
-					out[i] = BatchResult{Err: fmt.Errorf("godbc: %s", item.Err)}
-					continue
-				}
-				out[i] = BatchResult{Affected: item.Affected, Set: decodeItem(item)}
-			}
-			return out, nil
-		case batchUnsupported(resp.Err):
-			// A server without the batch extension: remember and fall back to
-			// per-execution round trips for the rest of this connection.
-			st.conn.noBatch = true
-		default:
-			return nil, fmt.Errorf("godbc: %s", resp.Err)
-		}
-	}
-	out := make([]BatchResult, len(bindings))
-	for i, p := range bindings {
-		req := &wire.Request{Kind: wire.ReqExecPrepared, StmtID: st.id}
-		encodeParams(req, p)
-		resp, err := st.conn.roundTrip(req)
-		if err != nil {
-			return nil, err // transport failure: the connection state is undefined
-		}
-		if resp.Err != "" {
-			out[i] = BatchResult{Err: fmt.Errorf("godbc: %s", resp.Err)}
-			continue
-		}
-		out[i] = BatchResult{Affected: resp.Affected, Set: decodeSet(resp)}
-	}
-	return out, nil
-}
-
-// batchUnsupported recognizes the error a server without ReqExecBatch
-// returns for the unknown request kind.
-func batchUnsupported(errText string) bool {
-	return strings.Contains(errText, "unknown request kind")
-}
-
-func toBinding(params *sqldb.Params) wire.BatchBinding {
-	var b wire.BatchBinding
-	b.Pos, b.Named = encodeValues(params)
-	return b
-}
-
-func decodeItem(item wire.BatchItem) *sqldb.ResultSet {
-	return decodeRows(item.Columns, item.Rows)
-}
-
-// ---------------------------------------------------------------------------
-// sqlgen.BatchPreparedQuery implementations — one per preparer, so the
-// analyzer's batched path runs against every executor.
-// ---------------------------------------------------------------------------
 
 // ExecQueryBatch implements sqlgen.BatchPreparedQuery on a connection-bound
 // prepared statement.
 func (st *Stmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	results, err := st.ExecBatch(bindings)
+	return st.ExecQueryBatchContext(context.Background(), bindings)
+}
+
+// ExecQueryBatchContext is ExecQueryBatch observing ctx before and during
+// every chunk's round trip.
+func (st *Stmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	results, err := st.execBatch(ctx, bindings)
 	if err != nil {
 		return nil, err
 	}
+	return queryResults(results), nil
+}
+
+func (st *Stmt) execBatch(ctx context.Context, bindings []*sqldb.Params) ([]BatchResult, error) {
+	if st.closed {
+		return nil, errStmtClosed
+	}
+	out := make([]BatchResult, 0, len(bindings))
+	for start := 0; start < len(bindings); start += wire.MaxBatch {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		chunk := bindings[start:min(start+wire.MaxBatch, len(bindings))]
+		resp, err := st.conn.roundTripCtx(ctx, batchRequest(st.id, chunk))
+		if err == nil {
+			out, err = decodeBatch(out, resp, len(chunk))
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// batchRequest builds the ReqExecBatch request of one chunk of bindings.
+func batchRequest(stmtID int64, bindings []*sqldb.Params) *wire.Request {
+	req := &wire.Request{Kind: wire.ReqExecBatch, StmtID: stmtID, Batch: make([]wire.BatchBinding, len(bindings))}
+	for i, p := range bindings {
+		req.Batch[i].Pos, req.Batch[i].Named = encodeValues(p)
+	}
+	return req
+}
+
+// decodeBatch appends the per-binding results of a ReqExecBatch reply for n
+// bindings to out, in binding order. A statement-level failure fails the
+// whole chunk.
+func decodeBatch(out []BatchResult, resp *wire.Response, n int) ([]BatchResult, error) {
+	if _, err := replyErr(resp, nil); err != nil {
+		return nil, err
+	}
+	if len(resp.Items) != n {
+		return nil, fmt.Errorf("godbc: batch returned %d results for %d bindings", len(resp.Items), n)
+	}
+	for _, item := range resp.Items {
+		if item.Err != "" {
+			out = append(out, BatchResult{Err: fmt.Errorf("godbc: %s", item.Err)})
+			continue
+		}
+		out = append(out, BatchResult{Affected: item.Affected, Set: decodeRows(item.Columns, item.Rows)})
+	}
+	return out, nil
+}
+
+// queryResults converts wire batch results to the analyzer's shape.
+func queryResults(results []BatchResult) []sqlgen.BatchQueryResult {
 	out := make([]sqlgen.BatchQueryResult, len(results))
 	for i, r := range results {
 		out[i] = sqlgen.BatchQueryResult{Set: r.Set, Err: r.Err}
 	}
-	return out, nil
+	return out
 }
 
-// ExecQueryBatch implements sqlgen.BatchPreparedQuery over the pool: the
-// whole batch executes on one checked-out connection, so it costs one
-// round trip per wire.MaxBatch chunk. A statement the server refused to
-// prepare falls back to per-binding text execution, like ExecQuery.
-func (ps *PooledStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	ps.mu.Lock()
-	closed, textOnly := ps.closed, ps.textOnly
-	ps.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("godbc: prepared statement is closed")
-	}
-	c, err := ps.pool.Get()
-	if err != nil {
-		return nil, err
-	}
-	defer ps.pool.Put(c)
-	if !textOnly {
-		st, err := c.prepared(ps.sql)
-		if err == nil {
-			return st.ExecQueryBatch(bindings)
-		}
-		if c.broken {
-			return nil, err
-		}
-		ps.mu.Lock()
-		ps.textOnly = true
-		ps.mu.Unlock()
-	}
-	out := make([]sqlgen.BatchQueryResult, len(bindings))
-	for i, p := range bindings {
-		set, err := c.ExecQuery(ps.sql, p)
-		if err != nil {
-			if c.broken {
-				return nil, err
-			}
-			out[i] = sqlgen.BatchQueryResult{Err: err}
-			continue
-		}
-		out[i] = sqlgen.BatchQueryResult{Set: set}
-	}
-	return out, nil
-}
-
-// ExecQueryBatch implements sqlgen.BatchPreparedQuery on the in-process
-// engine: one statement-lock acquisition for the whole batch.
-func (s embeddedStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	results, err := s.ps.ExecuteBatch(bindings)
-	if err != nil {
-		return nil, err
-	}
-	return toQueryResults(results), nil
-}
-
-// ExecQueryBatch implements sqlgen.BatchPreparedQuery with the vendor's
-// per-binding costs applied. There is no round trip to amortize in process;
-// profiled batches exist so the batched analyzer runs against this executor
-// with the same cost model as per-execution calls.
-func (s profiledStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	results, err := s.ps.ExecuteBatch(bindings)
-	if err != nil {
-		return nil, err
-	}
-	var delay time.Duration
-	for _, r := range results {
-		if r.Err == nil && r.Res.Cached {
-			continue // the cache answered; no vendor work to charge
-		}
-		delay += s.profile.PerStatement
-		if r.Err == nil && r.Res.Set != nil {
-			delay += time.Duration(len(r.Res.Set.Rows)) * s.profile.PerRowRead
-		}
-	}
-	wire.Delay(delay)
-	return toQueryResults(results), nil
-}
-
+// toQueryResults converts the embedded engine's batch results to the
+// analyzer's shape.
 func toQueryResults(results []sqldb.BatchResult) []sqlgen.BatchQueryResult {
 	out := make([]sqlgen.BatchQueryResult, len(results))
 	for i, r := range results {
@@ -230,15 +129,10 @@ func toQueryResults(results []sqldb.BatchResult) []sqlgen.BatchQueryResult {
 		case r.Err != nil:
 			out[i] = sqlgen.BatchQueryResult{Err: r.Err}
 		case r.Res.Set == nil:
-			out[i] = sqlgen.BatchQueryResult{Err: fmt.Errorf("godbc: statement produced no result set")}
+			out[i] = sqlgen.BatchQueryResult{Err: errNoResultSet}
 		default:
 			out[i] = sqlgen.BatchQueryResult{Set: r.Res.Set}
 		}
 	}
 	return out
 }
-
-var _ sqlgen.BatchPreparedQuery = (*Stmt)(nil)
-var _ sqlgen.BatchPreparedQuery = (*PooledStmt)(nil)
-var _ sqlgen.BatchPreparedQuery = embeddedStmt{}
-var _ sqlgen.BatchPreparedQuery = profiledStmt{}

@@ -2,12 +2,10 @@ package godbc
 
 // Result-cache statistics. The cache itself lives server side (one per sqldb
 // engine, so every kojakdb shard caches independently); this file surfaces
-// its counters to clients through the ReqCacheStats protocol extension, with
-// a graceful answer when the server predates it.
+// its counters to clients through the ReqCacheStats request.
 
 import (
-	"fmt"
-	"strings"
+	"errors"
 
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
@@ -24,41 +22,26 @@ type CacheStats struct {
 	Entries       int   `json:"entries"`
 }
 
-func (cs *CacheStats) add(w *wire.CacheStats) {
-	cs.Hits += w.Hits
-	cs.Misses += w.Misses
-	cs.Invalidations += w.Invalidations
-	cs.Evictions += w.Evictions
-	cs.Entries += w.Entries
-}
-
-// cacheUnsupported recognizes the error a server without ReqCacheStats
-// returns for the unknown request kind.
-func cacheUnsupported(errText string) bool {
-	return strings.Contains(errText, "unknown request kind")
-}
-
-// CacheStats fetches the server's result-cache counters. ok is false when
-// the server predates the cache extension; the zero stats are then returned
-// without error, so callers degrade to "no cache visibility" rather than
-// failing.
+// CacheStats fetches the server's result-cache counters. ok is true whenever
+// err is nil: every server answers ReqCacheStats. The result stays so every
+// executor reports cache counters through the same three-result method.
 func (c *Conn) CacheStats() (stats CacheStats, ok bool, err error) {
-	resp, err := c.roundTrip(&wire.Request{Kind: wire.ReqCacheStats})
-	if err != nil {
+	return cacheStatsReply(c.roundTrip(&wire.Request{Kind: wire.ReqCacheStats}))
+}
+
+// cacheStatsReply interprets a ReqCacheStats reply.
+func cacheStatsReply(resp *wire.Response, err error) (CacheStats, bool, error) {
+	if resp, err = replyErr(resp, err); err != nil {
 		return CacheStats{}, false, err
 	}
-	if resp.Err != "" {
-		if cacheUnsupported(resp.Err) {
-			return CacheStats{}, false, nil
-		}
-		return CacheStats{}, false, fmt.Errorf("godbc: %s", resp.Err)
-	}
 	if resp.Cache == nil {
-		return CacheStats{}, false, nil
+		return CacheStats{}, false, errNoStats
 	}
-	stats.add(resp.Cache)
-	return stats, true, nil
+	return CacheStats(*resp.Cache), true, nil
 }
+
+// errNoStats is the failure of a stats reply that carries no counters.
+var errNoStats = errors.New("godbc: protocol error: stats reply carries no counters")
 
 // CacheStats fetches the server's result-cache counters on a pooled
 // connection.
@@ -72,20 +55,14 @@ func (p *Pool) CacheStats() (CacheStats, bool, error) {
 }
 
 // CacheStats sums the result-cache counters over every shard — each shard
-// caches independently, so the merged snapshot is simply the total. ok is
-// false when any shard predates the cache extension; transport failures are
-// tagged with the dead shard's address.
+// caches independently, so the merged snapshot is simply the total.
+// Transport failures are tagged with the dead shard's address.
 func (s *ShardedDB) CacheStats() (CacheStats, bool, error) {
 	var total CacheStats
-	ok := true
 	for i, p := range s.pools {
-		st, shardOK, err := p.CacheStats()
+		st, _, err := p.CacheStats()
 		if err != nil {
 			return CacheStats{}, false, s.tag(i, err)
-		}
-		if !shardOK {
-			ok = false
-			continue
 		}
 		total.Hits += st.Hits
 		total.Misses += st.Misses
@@ -93,7 +70,7 @@ func (s *ShardedDB) CacheStats() (CacheStats, bool, error) {
 		total.Evictions += st.Evictions
 		total.Entries += st.Entries
 	}
-	return total, ok, nil
+	return total, true, nil
 }
 
 // fromEngine converts the embedded engine's counters.

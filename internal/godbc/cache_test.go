@@ -46,30 +46,6 @@ func TestConnCacheStats(t *testing.T) {
 	}
 }
 
-func TestCacheStatsFallbackOnPreCacheServer(t *testing.T) {
-	_, srv := startCachePair(t)
-	srv.DisableCacheStats()
-	conn, err := godbc.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	stats, ok, err := conn.CacheStats()
-	if err != nil {
-		t.Fatalf("fallback errored: %v", err)
-	}
-	if ok {
-		t.Fatal("pre-cache server reported as supporting cache stats")
-	}
-	if stats != (godbc.CacheStats{}) {
-		t.Fatalf("fallback stats not zero: %+v", stats)
-	}
-	// The connection stays usable after the rejected request.
-	if _, err := conn.ExecQuery(`SELECT COUNT(*) FROM typed`, nil); err != nil {
-		t.Fatalf("connection broken after fallback: %v", err)
-	}
-}
-
 func TestPoolAndEmbeddedCacheStats(t *testing.T) {
 	_, srv := startCachePair(t)
 	pool, err := godbc.NewPool(srv.Addr(), 2)

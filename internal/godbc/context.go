@@ -15,17 +15,16 @@ package godbc
 //     without sacrificing the connection;
 //   - the profiled vendor delays — wire.DelayCtx returns early on cancel.
 //
-// Each ...Context method degrades to its plain counterpart when the context
-// can never be canceled, so the Background-context path costs nothing extra.
+// Every operation has one implementation, its ...Context method; the plain
+// method delegates with context.Background(). That path costs nothing extra:
+// roundTripCtx short-circuits a context that can never be canceled, and
+// wire.Delay is DelayCtx on the background context.
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/asl/sqlgen"
-	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
 )
 
@@ -55,421 +54,3 @@ func (c *Conn) roundTripCtx(ctx context.Context, req *wire.Request) (*wire.Respo
 	}
 	return resp, err
 }
-
-// ExecContext is Exec observing a context.
-func (c *Conn) ExecContext(ctx context.Context, query string, params *sqldb.Params) (Result, error) {
-	req := &wire.Request{Kind: wire.ReqExec, SQL: query}
-	encodeParams(req, params)
-	resp, err := c.roundTripCtx(ctx, req)
-	if err != nil {
-		return Result{}, err
-	}
-	if resp.Err != "" {
-		return Result{}, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return Result{Affected: resp.Affected}, nil
-}
-
-// ExecQueryContext is ExecQuery observing a context.
-func (c *Conn) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	req := &wire.Request{Kind: wire.ReqExec, SQL: query}
-	encodeParams(req, params)
-	resp, err := c.roundTripCtx(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return decodeSet(resp), nil
-}
-
-// ExecQueryContext executes the prepared statement observing a context.
-func (st *Stmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	if st.closed {
-		return nil, fmt.Errorf("godbc: prepared statement is closed")
-	}
-	req := &wire.Request{Kind: wire.ReqExecPrepared, StmtID: st.id}
-	encodeParams(req, params)
-	resp, err := st.conn.roundTripCtx(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return decodeSet(resp), nil
-}
-
-// GetCtx is Get observing a context while waiting for a free slot: a caller
-// canceled in the checkout queue releases its claim instead of dialing.
-func (p *Pool) GetCtx(ctx context.Context) (*Conn, error) {
-	if err := p.acquireSlot(ctx); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.slots <- struct{}{}
-		return nil, fmt.Errorf("godbc: pool is closed")
-	}
-	var c *Conn
-	if n := len(p.idle); n > 0 {
-		c = p.idle[n-1]
-		p.idle = p.idle[:n-1]
-	}
-	fetch := p.fetchSize
-	p.mu.Unlock()
-	if c != nil {
-		c.SetFetchSize(fetch)
-		return c, nil
-	}
-	c, err := Dial(p.addr)
-	if err != nil {
-		p.slots <- struct{}{}
-		return nil, err
-	}
-	p.dialed.Inc()
-	c.SetFetchSize(fetch)
-	return c, nil
-}
-
-// ExecQueryContext runs a SELECT on a pooled connection, observing ctx at
-// checkout and across the round trip.
-func (p *Pool) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	c, err := p.GetCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Put(c)
-	return c.ExecQueryContext(ctx, query, params)
-}
-
-// ExecQueryContext is the context-observing execution of a pooled prepared
-// statement.
-func (ps *PooledStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	ps.mu.Lock()
-	closed, textOnly := ps.closed, ps.textOnly
-	ps.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("godbc: prepared statement is closed")
-	}
-	c, err := ps.pool.GetCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer ps.pool.Put(c)
-	if !textOnly {
-		st, err := c.prepared(ps.sql)
-		if err == nil {
-			return st.ExecQueryContext(ctx, params)
-		}
-		if c.broken {
-			return nil, err
-		}
-		ps.mu.Lock()
-		ps.textOnly = true
-		ps.mu.Unlock()
-	}
-	return c.ExecQueryContext(ctx, ps.sql, params)
-}
-
-// ExecQueryBatchContext is the context-observing batched execution of a
-// pooled prepared statement: checkout and every chunk's round trip observe
-// ctx.
-func (ps *PooledStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	if ctx.Done() == nil {
-		return ps.ExecQueryBatch(bindings)
-	}
-	ps.mu.Lock()
-	closed, textOnly := ps.closed, ps.textOnly
-	ps.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("godbc: prepared statement is closed")
-	}
-	c, err := ps.pool.GetCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer ps.pool.Put(c)
-	if !textOnly {
-		st, err := c.prepared(ps.sql)
-		if err == nil {
-			return st.ExecQueryBatchContext(ctx, bindings)
-		}
-		if c.broken {
-			return nil, err
-		}
-		ps.mu.Lock()
-		ps.textOnly = true
-		ps.mu.Unlock()
-	}
-	out := make([]sqlgen.BatchQueryResult, len(bindings))
-	for i, p := range bindings {
-		set, err := c.ExecQueryContext(ctx, ps.sql, p)
-		if err != nil {
-			if c.broken {
-				return nil, err
-			}
-			out[i] = sqlgen.BatchQueryResult{Err: err}
-			continue
-		}
-		out[i] = sqlgen.BatchQueryResult{Set: set}
-	}
-	return out, nil
-}
-
-// ExecQueryBatchContext executes a connection-bound batch observing ctx per
-// chunk round trip.
-func (st *Stmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	if st.closed {
-		return nil, fmt.Errorf("godbc: prepared statement is closed")
-	}
-	out := make([]sqlgen.BatchQueryResult, 0, len(bindings))
-	for start := 0; start < len(bindings); start += wire.MaxBatch {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		end := min(start+wire.MaxBatch, len(bindings))
-		chunk, err := st.execBatchChunkCtx(ctx, bindings[start:end])
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range chunk {
-			out = append(out, sqlgen.BatchQueryResult{Set: r.Set, Err: r.Err})
-		}
-	}
-	return out, nil
-}
-
-// execBatchChunkCtx is execBatchChunk with ctx observed on each round trip.
-func (st *Stmt) execBatchChunkCtx(ctx context.Context, bindings []*sqldb.Params) ([]BatchResult, error) {
-	if len(bindings) == 0 {
-		return nil, nil
-	}
-	if !st.conn.noBatch {
-		req := &wire.Request{Kind: wire.ReqExecBatch, StmtID: st.id, Batch: make([]wire.BatchBinding, len(bindings))}
-		for i, p := range bindings {
-			req.Batch[i] = toBinding(p)
-		}
-		resp, err := st.conn.roundTripCtx(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case resp.Err == "":
-			if len(resp.Items) != len(bindings) {
-				return nil, fmt.Errorf("godbc: batch returned %d results for %d bindings", len(resp.Items), len(bindings))
-			}
-			out := make([]BatchResult, len(resp.Items))
-			for i, item := range resp.Items {
-				if item.Err != "" {
-					out[i] = BatchResult{Err: fmt.Errorf("godbc: %s", item.Err)}
-					continue
-				}
-				out[i] = BatchResult{Affected: item.Affected, Set: decodeItem(item)}
-			}
-			return out, nil
-		case batchUnsupported(resp.Err):
-			st.conn.noBatch = true
-		default:
-			return nil, fmt.Errorf("godbc: %s", resp.Err)
-		}
-	}
-	out := make([]BatchResult, len(bindings))
-	for i, p := range bindings {
-		req := &wire.Request{Kind: wire.ReqExecPrepared, StmtID: st.id}
-		encodeParams(req, p)
-		resp, err := st.conn.roundTripCtx(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		if resp.Err != "" {
-			out[i] = BatchResult{Err: fmt.Errorf("godbc: %s", resp.Err)}
-			continue
-		}
-		out[i] = BatchResult{Affected: resp.Affected, Set: decodeSet(resp)}
-	}
-	return out, nil
-}
-
-// ExecQueryContext on the embedded engine checks ctx before executing; the
-// in-process scan itself is uninterruptible but fast.
-func (e Embedded) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return e.ExecQuery(query, params)
-}
-
-func (s embeddedStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.ExecQuery(params)
-}
-
-// ExecQueryBatchContext hands ctx to the engine, which observes it between
-// bindings.
-func (s embeddedStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	results, err := s.ps.ExecuteBatchContext(ctx, bindings)
-	if err != nil {
-		return nil, err
-	}
-	return toQueryResults(results), nil
-}
-
-// ExecQueryContext applies the vendor delays through wire.DelayCtx, so a
-// canceled request stops paying simulated latency immediately.
-func (e ProfiledEmbedded) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, err := e.DB.Exec(query, params)
-	if err != nil {
-		return nil, err
-	}
-	if res.Set == nil {
-		return nil, fmt.Errorf("godbc: statement produced no result set")
-	}
-	if !res.Cached {
-		if err := wire.DelayCtx(ctx, e.Profile.PerPrepare+e.Profile.PerStatement+time.Duration(len(res.Set.Rows))*e.Profile.PerRowRead); err != nil {
-			return nil, err
-		}
-	}
-	return res.Set, nil
-}
-
-func (s profiledStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, err := s.ps.Execute(params)
-	if err != nil {
-		return nil, err
-	}
-	if res.Set == nil {
-		return nil, fmt.Errorf("godbc: statement produced no result set")
-	}
-	if !res.Cached {
-		if err := wire.DelayCtx(ctx, s.profile.PerStatement+time.Duration(len(res.Set.Rows))*s.profile.PerRowRead); err != nil {
-			return nil, err
-		}
-	}
-	return res.Set, nil
-}
-
-func (s profiledStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	results, err := s.ps.ExecuteBatchContext(ctx, bindings)
-	if err != nil {
-		return nil, err
-	}
-	var delay time.Duration
-	for _, r := range results {
-		if r.Err == nil && r.Res.Cached {
-			continue
-		}
-		delay += s.profile.PerStatement
-		if r.Err == nil && r.Res.Set != nil {
-			delay += time.Duration(len(r.Res.Set.Rows)) * s.profile.PerRowRead
-		}
-	}
-	if err := wire.DelayCtx(ctx, delay); err != nil {
-		return nil, err
-	}
-	return toQueryResults(results), nil
-}
-
-// ExecQueryContext serves an un-routed SELECT from the first shard, observing
-// ctx.
-func (s *ShardedDB) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	set, err := s.pools[0].ExecQueryContext(ctx, query, params)
-	return set, s.tag(0, err)
-}
-
-// ExecQueryContext executes one parameter set on the shard owning its run,
-// observing ctx.
-func (st *ShardedStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	i, err := st.db.route(st.runParam, params)
-	if err != nil {
-		return nil, err
-	}
-	set, err := st.stmts[i].ExecQueryContext(ctx, params)
-	return set, st.db.tag(i, err)
-}
-
-// ExecQueryBatchContext is ExecQueryBatch with ctx threaded to every
-// per-shard batch.
-func (st *ShardedStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	groups := make(map[int][]int)
-	order := make([]int, 0, len(st.stmts))
-	for bi, params := range bindings {
-		i, err := st.db.route(st.runParam, params)
-		if err != nil {
-			return nil, err
-		}
-		if _, seen := groups[i]; !seen {
-			order = append(order, i)
-		}
-		groups[i] = append(groups[i], bi)
-	}
-	out := make([]sqlgen.BatchQueryResult, len(bindings))
-	if len(order) == 1 {
-		i := order[0]
-		results, err := st.stmts[i].ExecQueryBatchContext(ctx, bindings)
-		if err == nil && len(results) != len(bindings) {
-			err = fmt.Errorf("godbc: shard batch returned %d results for %d bindings", len(results), len(bindings))
-		}
-		if err != nil {
-			return nil, st.db.tag(i, err)
-		}
-		copy(out, results)
-		return out, nil
-	}
-	errs := make([]error, len(st.stmts))
-	var wg sync.WaitGroup
-	for _, i := range order {
-		wg.Add(1)
-		go func(i int, idxs []int) {
-			defer wg.Done()
-			sub := make([]*sqldb.Params, len(idxs))
-			for j, bi := range idxs {
-				sub[j] = bindings[bi]
-			}
-			results, err := st.stmts[i].ExecQueryBatchContext(ctx, sub)
-			if err == nil && len(results) != len(idxs) {
-				err = fmt.Errorf("godbc: shard batch returned %d results for %d bindings", len(results), len(idxs))
-			}
-			if err != nil {
-				errs[i] = st.db.tag(i, err)
-				return
-			}
-			for j, bi := range idxs {
-				out[bi] = results[j]
-			}
-		}(i, groups[i])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-var _ sqlgen.ContextQueryExecutor = (*Conn)(nil)
-var _ sqlgen.ContextQueryExecutor = (*Pool)(nil)
-var _ sqlgen.ContextQueryExecutor = Embedded{}
-var _ sqlgen.ContextQueryExecutor = ProfiledEmbedded{}
-var _ sqlgen.ContextQueryExecutor = (*ShardedDB)(nil)
-var _ sqlgen.ContextPreparedQuery = (*Stmt)(nil)
-var _ sqlgen.ContextPreparedQuery = (*PooledStmt)(nil)
-var _ sqlgen.ContextPreparedQuery = embeddedStmt{}
-var _ sqlgen.ContextPreparedQuery = profiledStmt{}
-var _ sqlgen.ContextPreparedQuery = (*ShardedStmt)(nil)
-var _ sqlgen.ContextBatchPreparedQuery = (*Stmt)(nil)
-var _ sqlgen.ContextBatchPreparedQuery = (*PooledStmt)(nil)
-var _ sqlgen.ContextBatchPreparedQuery = embeddedStmt{}
-var _ sqlgen.ContextBatchPreparedQuery = profiledStmt{}
-var _ sqlgen.ContextBatchPreparedQuery = (*ShardedStmt)(nil)

@@ -10,6 +10,7 @@
 package godbc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -36,9 +37,6 @@ type Conn struct {
 	// stmts caches prepared statements by SQL text so pooled prepared
 	// statements plan at most once per connection (see prepared.go).
 	stmts map[string]*Stmt
-	// noBatch records that the server rejected ReqExecBatch as an unknown
-	// request kind; batches on this connection run as per-execution loops.
-	noBatch bool
 }
 
 // Dial connects to a wire server.
@@ -90,14 +88,8 @@ func (c *Conn) Close() error {
 
 // Ping performs a protocol round trip.
 func (c *Conn) Ping() error {
-	resp, err := c.roundTrip(&wire.Request{Kind: wire.ReqPing})
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return nil
+	_, err := replyErr(c.roundTrip(&wire.Request{Kind: wire.ReqPing}))
+	return err
 }
 
 func (c *Conn) roundTrip(req *wire.Request) (*wire.Response, error) {
@@ -144,14 +136,14 @@ type Result struct {
 // Exec runs a statement and returns the affected-row count. SELECTs may also
 // be run through Exec; their rows are returned inline by ExecQuery instead.
 func (c *Conn) Exec(query string, params *sqldb.Params) (Result, error) {
-	req := &wire.Request{Kind: wire.ReqExec, SQL: query}
-	encodeParams(req, params)
-	resp, err := c.roundTrip(req)
+	return c.ExecContext(context.Background(), query, params)
+}
+
+// ExecContext is Exec observing a context.
+func (c *Conn) ExecContext(ctx context.Context, query string, params *sqldb.Params) (Result, error) {
+	resp, err := c.execText(ctx, query, params)
 	if err != nil {
 		return Result{}, err
-	}
-	if resp.Err != "" {
-		return Result{}, fmt.Errorf("godbc: %s", resp.Err)
 	}
 	return Result{Affected: resp.Affected}, nil
 }
@@ -159,16 +151,34 @@ func (c *Conn) Exec(query string, params *sqldb.Params) (Result, error) {
 // ExecQuery runs a SELECT and returns the complete result set in a single
 // round trip (the bulk path).
 func (c *Conn) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	return c.ExecQueryContext(context.Background(), query, params)
+}
+
+// ExecQueryContext is ExecQuery observing a context.
+func (c *Conn) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	resp, err := c.execText(ctx, query, params)
+	if err != nil {
+		return nil, err
+	}
+	return decodeSet(resp), nil
+}
+
+// execText ships one statement as text and returns the server's reply.
+func (c *Conn) execText(ctx context.Context, query string, params *sqldb.Params) (*wire.Response, error) {
 	req := &wire.Request{Kind: wire.ReqExec, SQL: query}
 	encodeParams(req, params)
-	resp, err := c.roundTrip(req)
+	return replyErr(c.roundTripCtx(ctx, req))
+}
+
+// replyErr turns a reply that carries a statement error into that error.
+func replyErr(resp *wire.Response, err error) (*wire.Response, error) {
 	if err != nil {
 		return nil, err
 	}
 	if resp.Err != "" {
 		return nil, fmt.Errorf("godbc: %s", resp.Err)
 	}
-	return decodeSet(resp), nil
+	return resp, nil
 }
 
 func decodeSet(resp *wire.Response) *sqldb.ResultSet {
@@ -204,12 +214,9 @@ type Rows struct {
 func (c *Conn) Query(query string, params *sqldb.Params) (*Rows, error) {
 	req := &wire.Request{Kind: wire.ReqQueryCursor, SQL: query}
 	encodeParams(req, params)
-	resp, err := c.roundTrip(req)
+	resp, err := replyErr(c.roundTrip(req))
 	if err != nil {
 		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
 	}
 	return &Rows{conn: c, cursorID: resp.CursorID, columns: resp.Columns}, nil
 }
@@ -228,27 +235,16 @@ func (r *Rows) Next() bool {
 		if r.done {
 			return false
 		}
-		resp, err := r.conn.roundTrip(&wire.Request{
+		resp, err := replyErr(r.conn.roundTrip(&wire.Request{
 			Kind:     wire.ReqFetch,
 			CursorID: r.cursorID,
 			FetchN:   r.conn.fetchSize,
-		})
+		}))
 		if err != nil {
 			r.err = err
 			return false
 		}
-		if resp.Err != "" {
-			r.err = fmt.Errorf("godbc: %s", resp.Err)
-			return false
-		}
-		r.buf = r.buf[:0]
-		for _, wr := range resp.Rows {
-			row := make(sqldb.Row, len(wr))
-			for i, wv := range wr {
-				row[i] = wv.FromWire()
-			}
-			r.buf = append(r.buf, row)
-		}
+		r.buf = decodeRows(nil, resp.Rows).Rows
 		r.pos = 0
 		r.done = resp.Done
 		if len(r.buf) == 0 {
@@ -272,14 +268,8 @@ func (r *Rows) Close() error {
 		return nil
 	}
 	r.done = true
-	resp, err := r.conn.roundTrip(&wire.Request{Kind: wire.ReqCloseCursor, CursorID: r.cursorID})
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return nil
+	_, err := replyErr(r.conn.roundTrip(&wire.Request{Kind: wire.ReqCloseCursor, CursorID: r.cursorID}))
+	return err
 }
 
 // Executor is the interface shared by networked connections and the
@@ -307,15 +297,38 @@ func (e Embedded) Exec(query string, params *sqldb.Params) (Result, error) {
 
 // ExecQuery implements Executor.
 func (e Embedded) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	return e.ExecQueryContext(context.Background(), query, params)
+}
+
+// ExecQueryContext checks ctx before executing; the in-process scan itself
+// is uninterruptible but fast.
+func (e Embedded) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	res, err := e.execQuery(ctx, query, params)
+	if err != nil {
+		return nil, err
+	}
+	return res.Set, nil
+}
+
+// execQuery runs a SELECT on the engine, keeping the engine's result for the
+// cache flag ProfiledEmbedded charges by.
+func (e Embedded) execQuery(ctx context.Context, query string, params *sqldb.Params) (*sqldb.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	res, err := e.DB.Exec(query, params)
 	if err != nil {
 		return nil, err
 	}
 	if res.Set == nil {
-		return nil, fmt.Errorf("godbc: statement produced no result set")
+		return nil, errNoResultSet
 	}
-	return res.Set, nil
+	return res, nil
 }
+
+// errNoResultSet is the failure of a query call on a statement that returns
+// no rows (DDL, a write).
+var errNoResultSet = errors.New("godbc: statement produced no result set")
 
 // ConcurrentQuery marks the embedded engine as safe for concurrent querying
 // (sqldb serializes writers against readers internally).
@@ -343,18 +356,24 @@ func (e ProfiledEmbedded) Exec(query string, params *sqldb.Params) (Result, erro
 	return Result{Affected: res.Affected}, nil
 }
 
-// ExecQuery implements Executor. A result the engine's cache answered skips
-// the vendor delays — the modeled driver never compiled or executed anything.
+// ExecQuery implements Executor.
 func (e ProfiledEmbedded) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	res, err := e.DB.Exec(query, params)
+	return e.ExecQueryContext(context.Background(), query, params)
+}
+
+// ExecQueryContext applies the vendor delays through wire.DelayCtx, so a
+// canceled request stops paying simulated latency immediately. A result the
+// engine's cache answered skips the delays — the modeled driver never
+// compiled or executed anything.
+func (e ProfiledEmbedded) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	res, err := Embedded{DB: e.DB}.execQuery(ctx, query, params)
 	if err != nil {
 		return nil, err
 	}
-	if res.Set == nil {
-		return nil, fmt.Errorf("godbc: statement produced no result set")
-	}
 	if !res.Cached {
-		wire.Delay(e.Profile.PerPrepare + e.Profile.PerStatement + time.Duration(len(res.Set.Rows))*e.Profile.PerRowRead)
+		if err := wire.DelayCtx(ctx, e.Profile.PerPrepare+e.Profile.PerStatement+time.Duration(len(res.Set.Rows))*e.Profile.PerRowRead); err != nil {
+			return nil, err
+		}
 	}
 	return res.Set, nil
 }

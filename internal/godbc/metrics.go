@@ -5,12 +5,10 @@ package godbc
 // for a pooled connection, multiplexed on one socket, or inside the simulated
 // vendor. This file surfaces those layers as snapshot structs — PoolStats and
 // MuxStats are client-side counters read from atomics, ServerStats is fetched
-// from the wire server through the ReqServerStats protocol extension with the
-// usual graceful degradation against peers that predate it.
+// from the wire server through the ReqServerStats request.
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/metrics"
 	"repro/internal/sqldb/wire"
@@ -67,16 +65,10 @@ func (s *ShardedDB) PoolMetrics() []PoolStats {
 
 // MuxStats is a snapshot of a multiplexed connection's counters.
 type MuxStats struct {
-	// Mode is the detected server mode: "mux" (IDs echoed, requests
-	// interleave), "serial" (pre-mux peer, strict turns), or "unknown"
-	// (no reply seen yet).
-	Mode string `json:"mode"`
-	// InFlight counts requests awaiting replies, including abandoned
-	// requests whose replies a serial peer still owes (tombstones).
+	// InFlight counts requests awaiting replies.
 	InFlight int `json:"in_flight"`
 	// Requests counts requests sent; Cancels counts callers that stopped
-	// waiting (each sent a ReqCancel in mux mode, or left a tombstone in
-	// serial mode).
+	// waiting (each sent a ReqCancel).
 	Requests int64 `json:"requests"`
 	Cancels  int64 `json:"cancels"`
 }
@@ -84,18 +76,9 @@ type MuxStats struct {
 // Metrics returns a snapshot of the multiplexed connection's counters.
 func (m *MuxConn) Metrics() MuxStats {
 	m.mu.Lock()
-	mode := m.mode
 	inflight := len(m.pending)
 	m.mu.Unlock()
-	name := "unknown"
-	switch mode {
-	case muxYes:
-		name = "mux"
-	case muxNo:
-		name = "serial"
-	}
 	return MuxStats{
-		Mode:     name,
 		InFlight: inflight,
 		Requests: m.requests.Value(),
 		Cancels:  m.cancels.Value(),
@@ -109,8 +92,7 @@ type ServerStats struct {
 	Engine       string `json:"engine"`
 	VecSelects   int64  `json:"vec_selects"`
 	VecFallbacks int64  `json:"vec_fallbacks"`
-	// FbJoinShape..FbOther break VecFallbacks down by refused plan shape;
-	// all zero against servers predating the breakdown.
+	// FbJoinShape..FbOther break VecFallbacks down by refused plan shape.
 	FbJoinShape     int64 `json:"fb_join_shape"`
 	FbStar          int64 `json:"fb_star"`
 	FbOrderExpr     int64 `json:"fb_order_expr"`
@@ -124,48 +106,21 @@ type ServerStats struct {
 	VendorNanos int64 `json:"vendor_ns"`
 }
 
-func (ss *ServerStats) add(w *wire.ServerStats) {
-	ss.Engine = w.Engine
-	ss.VecSelects += w.VecSelects
-	ss.VecFallbacks += w.VecFallbacks
-	ss.FbJoinShape += w.FbJoinShape
-	ss.FbStar += w.FbStar
-	ss.FbOrderExpr += w.FbOrderExpr
-	ss.FbSubquery += w.FbSubquery
-	ss.FbOther += w.FbOther
-	ss.PlanCacheHits += w.PlanCacheHits
-	ss.PlanCacheMisses += w.PlanCacheMisses
-	ss.Requests += w.Requests
-	ss.VendorNanos += w.VendorNanos
-}
-
-// serverStatsResp interprets a ReqServerStats reply, degrading to ok=false
-// against a server that predates the extension (the same unknown-request-kind
-// discipline as the cache extension — see cacheUnsupported).
-func serverStatsResp(resp *wire.Response) (ServerStats, bool, error) {
-	if resp.Err != "" {
-		if cacheUnsupported(resp.Err) {
-			return ServerStats{}, false, nil
-		}
-		return ServerStats{}, false, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	if resp.Server == nil {
-		return ServerStats{}, false, nil
-	}
-	var st ServerStats
-	st.add(resp.Server)
-	return st, true, nil
-}
-
-// ServerStats fetches the server's engine and cost counters. ok is false when
-// the server predates the observability extension; the zero stats are then
-// returned without error, so callers degrade to "no backend visibility".
-func (c *Conn) ServerStats() (ServerStats, bool, error) {
-	resp, err := c.roundTrip(&wire.Request{Kind: wire.ReqServerStats})
-	if err != nil {
+// serverStatsReply interprets a ReqServerStats reply; ok is true whenever
+// err is nil, as for CacheStats.
+func serverStatsReply(resp *wire.Response, err error) (ServerStats, bool, error) {
+	if resp, err = replyErr(resp, err); err != nil {
 		return ServerStats{}, false, err
 	}
-	return serverStatsResp(resp)
+	if resp.Server == nil {
+		return ServerStats{}, false, errNoStats
+	}
+	return ServerStats(*resp.Server), true, nil
+}
+
+// ServerStats fetches the server's engine and cost counters.
+func (c *Conn) ServerStats() (ServerStats, bool, error) {
+	return serverStatsReply(c.roundTrip(&wire.Request{Kind: wire.ReqServerStats}))
 }
 
 // ServerStats fetches the server's counters on a pooled connection.
@@ -180,49 +135,24 @@ func (p *Pool) ServerStats() (ServerStats, bool, error) {
 
 // ServerStats fetches the server's counters over the multiplexed connection.
 func (m *MuxConn) ServerStats() (ServerStats, bool, error) {
-	resp, err := m.roundTrip(context.Background(), &wire.Request{Kind: wire.ReqServerStats})
-	if err != nil {
-		return ServerStats{}, false, err
-	}
-	return serverStatsResp(resp)
+	return serverStatsReply(m.roundTrip(context.Background(), &wire.Request{Kind: wire.ReqServerStats}))
 }
 
 // CacheStats fetches the server's result-cache counters over the multiplexed
-// connection, with the same degradation as the pooled variant.
+// connection.
 func (m *MuxConn) CacheStats() (CacheStats, bool, error) {
-	resp, err := m.roundTrip(context.Background(), &wire.Request{Kind: wire.ReqCacheStats})
-	if err != nil {
-		return CacheStats{}, false, err
-	}
-	if resp.Err != "" {
-		if cacheUnsupported(resp.Err) {
-			return CacheStats{}, false, nil
-		}
-		return CacheStats{}, false, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	if resp.Cache == nil {
-		return CacheStats{}, false, nil
-	}
-	var stats CacheStats
-	stats.add(resp.Cache)
-	return stats, true, nil
+	return cacheStatsReply(m.roundTrip(context.Background(), &wire.Request{Kind: wire.ReqCacheStats}))
 }
 
 // ServerStats sums the counters over every shard; Engine is taken from the
-// last shard (deployments are homogeneous). ok is false when any shard
-// predates the extension; transport failures are tagged with the dead
-// shard's address.
+// last shard (deployments are homogeneous). Transport failures are tagged
+// with the dead shard's address.
 func (s *ShardedDB) ServerStats() (ServerStats, bool, error) {
 	var total ServerStats
-	ok := true
 	for i, p := range s.pools {
-		st, shardOK, err := p.ServerStats()
+		st, _, err := p.ServerStats()
 		if err != nil {
 			return ServerStats{}, false, s.tag(i, err)
-		}
-		if !shardOK {
-			ok = false
-			continue
 		}
 		total.Engine = st.Engine
 		total.VecSelects += st.VecSelects
@@ -237,7 +167,7 @@ func (s *ShardedDB) ServerStats() (ServerStats, bool, error) {
 		total.Requests += st.Requests
 		total.VendorNanos += st.VendorNanos
 	}
-	return total, ok, nil
+	return total, true, nil
 }
 
 // ServerStats reads the in-process engine's counters directly. Requests and

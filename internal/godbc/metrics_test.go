@@ -38,30 +38,6 @@ func TestServerStatsOverWire(t *testing.T) {
 	}
 }
 
-func TestServerStatsFallbackOnOldServer(t *testing.T) {
-	_, srv := startCachePair(t)
-	srv.DisableServerStats()
-	conn, err := godbc.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	stats, ok, err := conn.ServerStats()
-	if err != nil {
-		t.Fatalf("fallback errored: %v", err)
-	}
-	if ok {
-		t.Fatal("old server reported as supporting server stats")
-	}
-	if stats != (godbc.ServerStats{}) {
-		t.Fatalf("fallback stats not zero: %+v", stats)
-	}
-	// The connection stays usable after the rejected request.
-	if _, err := conn.ExecQuery(`SELECT COUNT(*) FROM typed`, nil); err != nil {
-		t.Fatalf("connection broken after fallback: %v", err)
-	}
-}
-
 func TestServerStatsVendorCost(t *testing.T) {
 	// A profiled server charges simulated vendor delay per statement;
 	// VendorNanos must reflect it. ProfileFast servers (the other tests)
@@ -134,9 +110,6 @@ func TestMuxMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if st := m.Metrics(); st.Mode != "unknown" {
-		t.Errorf("mode before first reply = %q, want unknown", st.Mode)
-	}
 	if err := m.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +117,6 @@ func TestMuxMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.Metrics()
-	if st.Mode != "mux" {
-		t.Errorf("mode = %q, want mux", st.Mode)
-	}
 	if st.Requests != 2 || st.InFlight != 0 || st.Cancels != 0 {
 		t.Errorf("counters wrong: %+v", st)
 	}

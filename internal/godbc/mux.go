@@ -5,16 +5,13 @@ package godbc
 // request is tagged with a fresh nonzero ID, a single reader goroutine
 // demultiplexes the replies by their echoed IDs, and a canceled caller sends
 // a ReqCancel so the server stops the request's work — the connection itself
-// survives cancellation, unlike the deadline-snapping fallback of a plain
-// Conn.
+// survives cancellation, unlike the deadline-snapping cancel of a plain Conn.
 //
-// Interop is the protocol's usual gob discipline: a pre-mux server drops the
-// unknown ID field and answers requests one at a time, in order. The MuxConn
-// detects this from the first reply (a mux server echoes the nonzero ID, a
-// pre-mux server leaves it zero) and falls back to serial pairing: requests
-// take turns, replies are matched to requests by order, and cancellation
-// degrades to abandoning the reply (a tombstone keeps the pairing aligned).
-// Either way the caller sees the same results.
+// Both ends are built from this module, so the server always echoes IDs. A
+// reply with ID 0 can only come from a peer that does not multiplex; it
+// poisons the connection with a protocol error, so such a peer fails at its
+// first reply instead of leaving callers waiting for replies that never
+// match.
 
 import (
 	"context"
@@ -26,13 +23,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
-)
-
-// mux-mode detection states.
-const (
-	muxUnknown = iota // no reply seen yet; requests serialize until one arrives
-	muxYes            // server echoes IDs: full multiplexing
-	muxNo             // pre-mux server: serial turns, order-based pairing
 )
 
 // MuxConn is a multiplexed connection: one socket, many concurrent requests.
@@ -47,27 +37,15 @@ type MuxConn struct {
 	writeMu sync.Mutex
 
 	mu      sync.Mutex
-	mode    int
 	nextID  int64
 	pending map[int64]chan *wire.Response
-	// fifo holds the IDs of in-flight requests in send order — the pairing
-	// key for serial mode, where replies carry no ID. An abandoned request
-	// stays in the fifo with a nil channel (a tombstone) so the reply that
-	// eventually arrives for it is swallowed instead of shifting every later
-	// pairing by one.
-	fifo []int64
-	// serialTurn serializes whole round trips while the mode is not yet
-	// known to be mux: serial servers answer in order, so requests must not
-	// interleave. Held as a channel so waiters can observe ctx.
-	serialTurn chan struct{}
-	err        error
-	closed     bool
+	err     error
+	closed  bool
 
 	stmtMu sync.Mutex
 	stmts  map[string]*MuxStmt
 
 	fetchSize int
-	noBatch   bool
 
 	// requests and cancels feed Metrics (see metrics.go).
 	requests metrics.Counter
@@ -81,20 +59,23 @@ func DialMux(addr string) (*MuxConn, error) {
 		return nil, &transportError{fmt.Errorf("godbc: dial %s: %w", addr, err)}
 	}
 	m := &MuxConn{
-		nc:         nc,
-		codec:      wire.NewCodec(nc),
-		pending:    make(map[int64]chan *wire.Response),
-		serialTurn: make(chan struct{}, 1),
-		fetchSize:  DefaultFetchSize,
+		nc:        nc,
+		codec:     wire.NewCodec(nc),
+		pending:   make(map[int64]chan *wire.Response),
+		fetchSize: DefaultFetchSize,
 	}
-	m.serialTurn <- struct{}{}
 	go m.readLoop()
 	return m, nil
 }
 
+// errNoMux is the protocol error a reply without a request ID poisons the
+// connection with.
+var errNoMux = &transportError{fmt.Errorf("godbc: protocol error: reply without a request ID (the server does not multiplex requests)")}
+
 // readLoop is the demultiplexer: it owns the read side of the codec for the
-// connection's whole life, routing each reply to its waiting request — by
-// echoed ID against a mux server, by send order against a serial one.
+// connection's whole life, routing each reply to its waiting request by the
+// echoed ID. Replies to abandoned requests and ReqCancel acks have no waiter
+// and are dropped.
 func (m *MuxConn) readLoop() {
 	for {
 		resp, err := m.codec.ReadResponse()
@@ -102,30 +83,13 @@ func (m *MuxConn) readLoop() {
 			m.fail(&transportError{fmt.Errorf("godbc: receive: %w", err)})
 			return
 		}
+		if resp.ID == 0 {
+			m.fail(errNoMux)
+			return
+		}
 		m.mu.Lock()
-		if m.mode == muxUnknown {
-			if resp.ID != 0 {
-				m.mode = muxYes
-			} else {
-				m.mode = muxNo
-			}
-		}
-		var ch chan *wire.Response
-		if m.mode == muxYes {
-			ch = m.pending[resp.ID]
-			delete(m.pending, resp.ID)
-			for i, id := range m.fifo {
-				if id == resp.ID {
-					m.fifo = append(m.fifo[:i], m.fifo[i+1:]...)
-					break
-				}
-			}
-		} else if len(m.fifo) > 0 {
-			id := m.fifo[0]
-			m.fifo = m.fifo[1:]
-			ch = m.pending[id] // nil for a tombstone: reply swallowed
-			delete(m.pending, id)
-		}
+		ch := m.pending[resp.ID]
+		delete(m.pending, resp.ID)
 		m.mu.Unlock()
 		if ch != nil {
 			ch <- resp
@@ -141,12 +105,9 @@ func (m *MuxConn) fail(err error) {
 	}
 	pending := m.pending
 	m.pending = make(map[int64]chan *wire.Response)
-	m.fifo = nil
 	m.mu.Unlock()
 	for _, ch := range pending {
-		if ch != nil {
-			close(ch)
-		}
+		close(ch)
 	}
 }
 
@@ -193,18 +154,14 @@ func (m *MuxConn) register() (int64, chan *wire.Response, error) {
 	id := m.nextID
 	ch := make(chan *wire.Response, 1)
 	m.pending[id] = ch
-	m.fifo = append(m.fifo, id)
 	m.requests.Inc()
 	return id, ch, nil
 }
 
-// abandon gives up on a registered request whose caller stopped waiting. In
-// mux mode the entry is removed and a best-effort ReqCancel tells the server
-// to stop the work (its ack, carrying a fresh unregistered ID, is swallowed
-// by the demultiplexer). In serial or undetermined mode the reply must still
-// be consumed to keep order-pairing aligned, so the entry becomes a
-// tombstone: the ID stays in the fifo, the channel goes nil, and the reply is
-// discarded when it arrives.
+// abandon gives up on a registered request whose caller stopped waiting: the
+// entry is removed and a best-effort ReqCancel tells the server to stop the
+// work. Its ack carries a fresh unregistered ID, so the demultiplexer drops
+// it, as it drops the abandoned request's late reply.
 func (m *MuxConn) abandon(id int64) {
 	m.mu.Lock()
 	if _, ok := m.pending[id]; !ok {
@@ -212,24 +169,13 @@ func (m *MuxConn) abandon(id int64) {
 		return // reply already routed (or connection failed)
 	}
 	m.cancels.Inc()
-	if m.mode == muxYes {
-		delete(m.pending, id)
-		for i, fid := range m.fifo {
-			if fid == id {
-				m.fifo = append(m.fifo[:i], m.fifo[i+1:]...)
-				break
-			}
-		}
-		m.nextID++
-		cancelID := m.nextID // deliberately not registered: ack is dropped
-		m.mu.Unlock()
-		m.writeMu.Lock()
-		m.codec.WriteRequest(&wire.Request{Kind: wire.ReqCancel, ID: cancelID, CancelID: id})
-		m.writeMu.Unlock()
-		return
-	}
-	m.pending[id] = nil
+	delete(m.pending, id)
+	m.nextID++
+	cancelID := m.nextID
 	m.mu.Unlock()
+	m.writeMu.Lock()
+	m.codec.WriteRequest(&wire.Request{Kind: wire.ReqCancel, ID: cancelID, CancelID: id})
+	m.writeMu.Unlock()
 }
 
 // roundTrip performs one tagged request/response exchange, observing ctx.
@@ -237,24 +183,6 @@ func (m *MuxConn) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respo
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	// Until the first reply proves the server multiplexes, round trips take
-	// strict turns — a serial server interleaving two requests would answer
-	// them in order, which is exactly what turn-taking preserves.
-	m.mu.Lock()
-	serial := m.mode != muxYes
-	m.mu.Unlock()
-	if serial {
-		select {
-		case <-m.serialTurn:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		defer func() { m.serialTurn <- struct{}{} }()
-		// The mode may have been decided while we waited for the turn; mux
-		// turns are harmless (just slower), so no re-check is needed.
-	}
-
 	id, ch, err := m.register()
 	if err != nil {
 		return nil, err
@@ -285,14 +213,8 @@ func (m *MuxConn) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respo
 
 // Ping performs a protocol round trip.
 func (m *MuxConn) Ping() error {
-	resp, err := m.roundTrip(context.Background(), &wire.Request{Kind: wire.ReqPing})
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return nil
+	_, err := replyErr(m.roundTrip(context.Background(), &wire.Request{Kind: wire.ReqPing}))
+	return err
 }
 
 // Exec runs a statement and returns the affected-row count.
@@ -302,14 +224,9 @@ func (m *MuxConn) Exec(query string, params *sqldb.Params) (Result, error) {
 
 // ExecContext is Exec observing a context.
 func (m *MuxConn) ExecContext(ctx context.Context, query string, params *sqldb.Params) (Result, error) {
-	req := &wire.Request{Kind: wire.ReqExec, SQL: query}
-	encodeParams(req, params)
-	resp, err := m.roundTrip(ctx, req)
+	resp, err := m.execText(ctx, query, params)
 	if err != nil {
 		return Result{}, err
-	}
-	if resp.Err != "" {
-		return Result{}, fmt.Errorf("godbc: %s", resp.Err)
 	}
 	return Result{Affected: resp.Affected}, nil
 }
@@ -321,16 +238,17 @@ func (m *MuxConn) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSe
 
 // ExecQueryContext is ExecQuery observing a context.
 func (m *MuxConn) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	req := &wire.Request{Kind: wire.ReqExec, SQL: query}
-	encodeParams(req, params)
-	resp, err := m.roundTrip(ctx, req)
+	resp, err := m.execText(ctx, query, params)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
-	}
 	return decodeSet(resp), nil
+}
+
+func (m *MuxConn) execText(ctx context.Context, query string, params *sqldb.Params) (*wire.Response, error) {
+	req := &wire.Request{Kind: wire.ReqExec, SQL: query}
+	encodeParams(req, params)
+	return replyErr(m.roundTrip(ctx, req))
 }
 
 // MuxStmt is a prepared statement on a multiplexed connection. It is safe
@@ -345,7 +263,8 @@ type MuxStmt struct {
 }
 
 // PrepareQuery implements sqlgen.QueryPreparer, returning the connection's
-// cached handle for the query (preparing it on first use).
+// cached handle for the query (preparing it on first use). A statement the
+// server refuses to prepare runs as text.
 func (m *MuxConn) PrepareQuery(query string) (sqlgen.PreparedQuery, error) {
 	m.stmtMu.Lock()
 	defer m.stmtMu.Unlock()
@@ -357,7 +276,7 @@ func (m *MuxConn) PrepareQuery(query string) (sqlgen.PreparedQuery, error) {
 		return nil, err
 	}
 	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
+		return textStmt{sql: query, exec: m.ExecQueryContext}, nil
 	}
 	st := &MuxStmt{m: m, id: resp.StmtID, sql: query}
 	if m.stmts == nil {
@@ -380,12 +299,9 @@ func (st *MuxStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
 func (st *MuxStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
 	req := &wire.Request{Kind: wire.ReqExecPrepared, StmtID: st.id}
 	encodeParams(req, params)
-	resp, err := st.m.roundTrip(ctx, req)
+	resp, err := replyErr(st.m.roundTrip(ctx, req))
 	if err != nil {
 		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
 	}
 	return decodeSet(resp), nil
 }
@@ -396,78 +312,23 @@ func (st *MuxStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQuery
 }
 
 // ExecQueryBatchContext executes the statement once per binding, shipping
-// wire.MaxBatch bindings per tagged request. Against a server without the
-// batch extension it falls back to per-binding prepared executions.
+// wire.MaxBatch bindings per tagged request.
 func (st *MuxStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	out := make([]sqlgen.BatchQueryResult, 0, len(bindings))
+	out := make([]BatchResult, 0, len(bindings))
 	for start := 0; start < len(bindings); start += wire.MaxBatch {
-		end := min(start+wire.MaxBatch, len(bindings))
-		chunk, err := st.execBatchChunk(ctx, bindings[start:end])
+		chunk := bindings[start:min(start+wire.MaxBatch, len(bindings))]
+		resp, err := st.m.roundTrip(ctx, batchRequest(st.id, chunk))
+		if err == nil {
+			out, err = decodeBatch(out, resp, len(chunk))
+		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, chunk...)
 	}
-	return out, nil
-}
-
-func (st *MuxStmt) execBatchChunk(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
-	if len(bindings) == 0 {
-		return nil, nil
-	}
-	st.m.mu.Lock()
-	noBatch := st.m.noBatch
-	st.m.mu.Unlock()
-	if !noBatch {
-		req := &wire.Request{Kind: wire.ReqExecBatch, StmtID: st.id, Batch: make([]wire.BatchBinding, len(bindings))}
-		for i, p := range bindings {
-			req.Batch[i] = toBinding(p)
-		}
-		resp, err := st.m.roundTrip(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case resp.Err == "":
-			if len(resp.Items) != len(bindings) {
-				return nil, fmt.Errorf("godbc: batch returned %d results for %d bindings", len(resp.Items), len(bindings))
-			}
-			out := make([]sqlgen.BatchQueryResult, len(resp.Items))
-			for i, item := range resp.Items {
-				if item.Err != "" {
-					out[i] = sqlgen.BatchQueryResult{Err: fmt.Errorf("godbc: %s", item.Err)}
-					continue
-				}
-				out[i] = sqlgen.BatchQueryResult{Set: decodeItem(item)}
-			}
-			return out, nil
-		case batchUnsupported(resp.Err):
-			st.m.mu.Lock()
-			st.m.noBatch = true
-			st.m.mu.Unlock()
-		default:
-			return nil, fmt.Errorf("godbc: %s", resp.Err)
-		}
-	}
-	out := make([]sqlgen.BatchQueryResult, len(bindings))
-	for i, p := range bindings {
-		set, err := st.ExecQueryContext(ctx, p)
-		if err != nil {
-			if ctx.Err() != nil || isTransportError(err) {
-				return nil, err
-			}
-			out[i] = sqlgen.BatchQueryResult{Err: err}
-			continue
-		}
-		out[i] = sqlgen.BatchQueryResult{Set: set}
-	}
-	return out, nil
+	return queryResults(out), nil
 }
 
 var _ Executor = (*MuxConn)(nil)
 var _ sqlgen.QueryPreparer = (*MuxConn)(nil)
 var _ sqlgen.ContextQueryExecutor = (*MuxConn)(nil)
-var _ sqlgen.PreparedQuery = (*MuxStmt)(nil)
-var _ sqlgen.ContextPreparedQuery = (*MuxStmt)(nil)
-var _ sqlgen.BatchPreparedQuery = (*MuxStmt)(nil)
-var _ sqlgen.ContextBatchPreparedQuery = (*MuxStmt)(nil)
+var _ ctxStmt = (*MuxStmt)(nil)

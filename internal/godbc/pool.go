@@ -107,7 +107,15 @@ func (p *Pool) acquireSlot(ctx context.Context) error {
 // connection is available and the capacity is not exhausted; otherwise it
 // blocks until a connection is returned. Return the connection with Put.
 func (p *Pool) Get() (*Conn, error) {
-	p.acquireSlot(context.Background())
+	return p.GetCtx(context.Background())
+}
+
+// GetCtx is Get observing a context while waiting for a free slot: a caller
+// canceled in the checkout queue releases its claim instead of dialing.
+func (p *Pool) GetCtx(ctx context.Context) (*Conn, error) {
+	if err := p.acquireSlot(ctx); err != nil {
+		return nil, err
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -187,12 +195,18 @@ func (p *Pool) Exec(query string, params *sqldb.Params) (Result, error) {
 
 // ExecQuery runs a SELECT on a pooled connection.
 func (p *Pool) ExecQuery(query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
-	c, err := p.Get()
+	return p.ExecQueryContext(context.Background(), query, params)
+}
+
+// ExecQueryContext is ExecQuery observing ctx at checkout and across the
+// round trip.
+func (p *Pool) ExecQueryContext(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	c, err := p.GetCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer p.Put(c)
-	return c.ExecQuery(query, params)
+	return c.ExecQueryContext(ctx, query, params)
 }
 
 // ConcurrentQuery marks the pool as safe for concurrent querying.

@@ -5,9 +5,18 @@ package godbc
 // parsed and planned once — on the server for networked connections,
 // in-process for the embedded configurations — and then executed repeatedly
 // with fresh parameters, paying only the execution cost per call.
+//
+// Every executor's PrepareQuery follows one rule: a statement the engine
+// refuses to prepare runs as text, one binding at a time (textStmt). The
+// engine's Prepare validates every referenced table eagerly, while text
+// execution is lazy — a subquery over a missing table that is never
+// evaluated succeeds as text — so falling back keeps results and per-binding
+// diagnostics identical to text execution. Transport failures are not
+// refusals; they fail the prepare.
 
 import (
-	"fmt"
+	"context"
+	"errors"
 	"sync"
 	"time"
 
@@ -15,6 +24,9 @@ import (
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
 )
+
+// errStmtClosed is the failure of executing a closed statement handle.
+var errStmtClosed = errors.New("godbc: prepared statement is closed")
 
 // Stmt is a prepared statement bound to one connection, like a JDBC
 // PreparedStatement. It is not safe for concurrent use (its connection is
@@ -32,12 +44,9 @@ type Stmt struct {
 // Prepare parses and plans a statement on the server, returning a reusable
 // handle.
 func (c *Conn) Prepare(query string) (*Stmt, error) {
-	resp, err := c.roundTrip(&wire.Request{Kind: wire.ReqPrepare, SQL: query})
+	resp, err := replyErr(c.roundTrip(&wire.Request{Kind: wire.ReqPrepare, SQL: query}))
 	if err != nil {
 		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
 	}
 	return &Stmt{conn: c, id: resp.StmtID, sql: query}, nil
 }
@@ -47,7 +56,7 @@ func (st *Stmt) SQL() string { return st.sql }
 
 // Exec runs the prepared statement and returns the affected-row count.
 func (st *Stmt) Exec(params *sqldb.Params) (Result, error) {
-	resp, err := st.execRaw(params)
+	resp, err := st.exec(context.Background(), params)
 	if err != nil {
 		return Result{}, err
 	}
@@ -57,27 +66,25 @@ func (st *Stmt) Exec(params *sqldb.Params) (Result, error) {
 // ExecQuery runs the prepared SELECT and returns the complete result set in
 // a single round trip.
 func (st *Stmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
-	resp, err := st.execRaw(params)
+	return st.ExecQueryContext(context.Background(), params)
+}
+
+// ExecQueryContext is ExecQuery observing a context.
+func (st *Stmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	resp, err := st.exec(ctx, params)
 	if err != nil {
 		return nil, err
 	}
 	return decodeSet(resp), nil
 }
 
-func (st *Stmt) execRaw(params *sqldb.Params) (*wire.Response, error) {
+func (st *Stmt) exec(ctx context.Context, params *sqldb.Params) (*wire.Response, error) {
 	if st.closed {
-		return nil, fmt.Errorf("godbc: prepared statement is closed")
+		return nil, errStmtClosed
 	}
 	req := &wire.Request{Kind: wire.ReqExecPrepared, StmtID: st.id}
 	encodeParams(req, params)
-	resp, err := st.conn.roundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return resp, nil
+	return replyErr(st.conn.roundTripCtx(ctx, req))
 }
 
 // Close releases the server-side handle. Closing is idempotent.
@@ -89,19 +96,21 @@ func (st *Stmt) Close() error {
 	if st.conn.closed || st.conn.broken {
 		return nil // the server released the handle with the connection
 	}
-	resp, err := st.conn.roundTrip(&wire.Request{Kind: wire.ReqClosePrepared, StmtID: st.id})
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return fmt.Errorf("godbc: %s", resp.Err)
-	}
-	return nil
+	_, err := replyErr(st.conn.roundTrip(&wire.Request{Kind: wire.ReqClosePrepared, StmtID: st.id}))
+	return err
 }
 
-// PrepareQuery implements sqlgen.QueryPreparer.
+// PrepareQuery implements sqlgen.QueryPreparer. A statement the server
+// refuses to prepare runs as text.
 func (c *Conn) PrepareQuery(query string) (sqlgen.PreparedQuery, error) {
-	return c.Prepare(query)
+	st, err := c.Prepare(query)
+	switch {
+	case err == nil:
+		return st, nil
+	case c.broken || c.closed:
+		return nil, err
+	}
+	return textStmt{sql: query, exec: c.ExecQueryContext}, nil
 }
 
 // prepared returns the connection's cached handle for the query, preparing
@@ -121,6 +130,13 @@ func (c *Conn) prepared(query string) (*Stmt, error) {
 	}
 	c.stmts[query] = st
 	return st, nil
+}
+
+// ctxStmt is the context-observing execution surface every handle here
+// offers; PooledStmt dispatches to one per call.
+type ctxStmt interface {
+	sqlgen.ContextPreparedQuery
+	sqlgen.ContextBatchPreparedQuery
 }
 
 // PooledStmt is a prepared statement over a connection pool: safe for
@@ -148,34 +164,66 @@ func (p *Pool) PrepareQuery(query string) (sqlgen.PreparedQuery, error) {
 // ExecQuery checks a connection out of the pool, ensures the statement is
 // prepared on it, and executes.
 func (ps *PooledStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
-	ps.mu.Lock()
-	closed, textOnly := ps.closed, ps.textOnly
-	ps.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("godbc: prepared statement is closed")
-	}
-	c, err := ps.pool.Get()
+	return ps.ExecQueryContext(context.Background(), params)
+}
+
+// ExecQueryContext is ExecQuery observing ctx at checkout and across the
+// round trip.
+func (ps *PooledStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	c, h, err := ps.checkout(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer ps.pool.Put(c)
+	return h.ExecQueryContext(ctx, params)
+}
+
+// ExecQueryBatch implements sqlgen.BatchPreparedQuery over the pool: the
+// whole batch executes on one checked-out connection, so it costs one
+// round trip per wire.MaxBatch chunk.
+func (ps *PooledStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	return ps.ExecQueryBatchContext(context.Background(), bindings)
+}
+
+// ExecQueryBatchContext is ExecQueryBatch observing ctx at checkout and on
+// every chunk's round trip.
+func (ps *PooledStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	c, h, err := ps.checkout(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer ps.pool.Put(c)
+	return h.ExecQueryBatchContext(ctx, bindings)
+}
+
+// checkout takes a connection from the pool and returns the statement's
+// handle on it: the connection's prepared handle, or a text handle once the
+// server has refused to prepare the statement. The caller returns c to the
+// pool.
+func (ps *PooledStmt) checkout(ctx context.Context) (c *Conn, h ctxStmt, err error) {
+	ps.mu.Lock()
+	closed, textOnly := ps.closed, ps.textOnly
+	ps.mu.Unlock()
+	if closed {
+		return nil, nil, errStmtClosed
+	}
+	if c, err = ps.pool.GetCtx(ctx); err != nil {
+		return nil, nil, err
+	}
 	if !textOnly {
 		st, err := c.prepared(ps.sql)
 		if err == nil {
-			return st.ExecQuery(params)
+			return c, st, nil
 		}
 		if c.broken {
-			return nil, err
+			ps.pool.Put(c)
+			return nil, nil, err
 		}
-		// Server-side prepare rejected the statement (e.g. eager table
-		// validation refused what the lazy text path accepts): fall back to
-		// text execution so results match the other executors, and stop
-		// re-attempting the prepare on future calls.
 		ps.mu.Lock()
 		ps.textOnly = true
 		ps.mu.Unlock()
 	}
-	return c.ExecQuery(ps.sql, params)
+	return c, textStmt{sql: ps.sql, exec: c.ExecQueryContext}, nil
 }
 
 // Close marks the pooled statement closed. The per-connection handles stay
@@ -195,27 +243,61 @@ type embeddedStmt struct {
 
 // PrepareQuery implements sqlgen.QueryPreparer for the in-process engine;
 // the returned handle is safe for concurrent use (sqldb plans are
-// immutable).
+// immutable). A statement the engine refuses to prepare runs as text.
 func (e Embedded) PrepareQuery(query string) (sqlgen.PreparedQuery, error) {
 	ps, err := e.DB.Prepare(query)
 	if err != nil {
-		return nil, err
+		return textStmt{sql: query, exec: e.ExecQueryContext}, nil
 	}
 	return embeddedStmt{ps: ps}, nil
 }
 
 func (s embeddedStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
-	res, err := s.ps.Execute(params)
+	return s.ExecQueryContext(context.Background(), params)
+}
+
+// ExecQueryContext checks ctx before executing; the in-process execution
+// itself is uninterruptible but fast.
+func (s embeddedStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	res, err := execPrepared(ctx, s.ps, params)
 	if err != nil {
 		return nil, err
-	}
-	if res.Set == nil {
-		return nil, fmt.Errorf("godbc: statement produced no result set")
 	}
 	return res.Set, nil
 }
 
+// ExecQueryBatch implements sqlgen.BatchPreparedQuery on the in-process
+// engine: one statement-lock acquisition for the whole batch.
+func (s embeddedStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	return s.ExecQueryBatchContext(context.Background(), bindings)
+}
+
+// ExecQueryBatchContext hands ctx to the engine, which observes it between
+// bindings.
+func (s embeddedStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	results, err := s.ps.ExecuteBatchContext(ctx, bindings)
+	if err != nil {
+		return nil, err
+	}
+	return toQueryResults(results), nil
+}
+
 func (s embeddedStmt) Close() error { return s.ps.Close() }
+
+// execPrepared runs one execution of an in-process prepared SELECT.
+func execPrepared(ctx context.Context, ps *sqldb.PreparedStmt, params *sqldb.Params) (*sqldb.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	res, err := ps.Execute(params)
+	if err != nil {
+		return nil, err
+	}
+	if res.Set == nil {
+		return nil, errNoResultSet
+	}
+	return res, nil
+}
 
 // profiledStmt is the prepared handle of ProfiledEmbedded: the vendor's
 // compile cost was paid at prepare time, so executions are charged only the
@@ -226,33 +308,109 @@ type profiledStmt struct {
 }
 
 // PrepareQuery implements sqlgen.QueryPreparer, charging the one-time
-// statement-compilation delay up front.
+// statement-compilation delay up front. A statement the engine refuses to
+// prepare runs as text, paying the compile cost per call.
 func (e ProfiledEmbedded) PrepareQuery(query string) (sqlgen.PreparedQuery, error) {
 	ps, err := e.DB.Prepare(query)
 	if err != nil {
-		return nil, err
+		return textStmt{sql: query, exec: e.ExecQueryContext}, nil
 	}
 	wire.Delay(e.Profile.PerPrepare + e.Profile.PerStatement)
 	return profiledStmt{ps: ps, profile: e.Profile}, nil
 }
 
 func (s profiledStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
-	res, err := s.ps.Execute(params)
+	return s.ExecQueryContext(context.Background(), params)
+}
+
+// ExecQueryContext applies the vendor delays through wire.DelayCtx; a result
+// the engine's cache answered is not charged.
+func (s profiledStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	res, err := execPrepared(ctx, s.ps, params)
 	if err != nil {
 		return nil, err
 	}
-	if res.Set == nil {
-		return nil, fmt.Errorf("godbc: statement produced no result set")
-	}
 	if !res.Cached {
-		wire.Delay(s.profile.PerStatement + time.Duration(len(res.Set.Rows))*s.profile.PerRowRead)
+		if err := wire.DelayCtx(ctx, s.profile.PerStatement+time.Duration(len(res.Set.Rows))*s.profile.PerRowRead); err != nil {
+			return nil, err
+		}
 	}
 	return res.Set, nil
 }
 
+// ExecQueryBatch implements sqlgen.BatchPreparedQuery with the vendor's
+// per-binding costs applied. There is no round trip to amortize in process;
+// profiled batches exist so the batched analyzer runs against this executor
+// with the same cost model as per-execution calls.
+func (s profiledStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	return s.ExecQueryBatchContext(context.Background(), bindings)
+}
+
+func (s profiledStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	results, err := s.ps.ExecuteBatchContext(ctx, bindings)
+	if err != nil {
+		return nil, err
+	}
+	var delay time.Duration
+	for _, r := range results {
+		if r.Err == nil && r.Res.Cached {
+			continue // the cache answered; no vendor work to charge
+		}
+		delay += s.profile.PerStatement
+		if r.Err == nil && r.Res.Set != nil {
+			delay += time.Duration(len(r.Res.Set.Rows)) * s.profile.PerRowRead
+		}
+	}
+	if err := wire.DelayCtx(ctx, delay); err != nil {
+		return nil, err
+	}
+	return toQueryResults(results), nil
+}
+
 func (s profiledStmt) Close() error { return s.ps.Close() }
+
+// textStmt is the handle of a statement the engine refused to prepare:
+// every execution ships the SQL text through exec, one binding at a time.
+// Per-binding failures are reported inline, as in a prepared batch; a
+// transport failure or a canceled context fails the whole batch.
+type textStmt struct {
+	sql  string
+	exec func(ctx context.Context, query string, params *sqldb.Params) (*sqldb.ResultSet, error)
+}
+
+func (s textStmt) ExecQuery(params *sqldb.Params) (*sqldb.ResultSet, error) {
+	return s.ExecQueryContext(context.Background(), params)
+}
+
+func (s textStmt) ExecQueryContext(ctx context.Context, params *sqldb.Params) (*sqldb.ResultSet, error) {
+	return s.exec(ctx, s.sql, params)
+}
+
+func (s textStmt) ExecQueryBatch(bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	return s.ExecQueryBatchContext(context.Background(), bindings)
+}
+
+func (s textStmt) ExecQueryBatchContext(ctx context.Context, bindings []*sqldb.Params) ([]sqlgen.BatchQueryResult, error) {
+	out := make([]sqlgen.BatchQueryResult, len(bindings))
+	for i, p := range bindings {
+		set, err := s.exec(ctx, s.sql, p)
+		if err != nil && (ctx.Err() != nil || isTransportError(err)) {
+			return nil, err
+		}
+		out[i] = sqlgen.BatchQueryResult{Set: set, Err: err}
+	}
+	return out, nil
+}
+
+// Close is a no-op: a text handle holds nothing on the server.
+func (s textStmt) Close() error { return nil }
 
 var _ sqlgen.QueryPreparer = (*Conn)(nil)
 var _ sqlgen.QueryPreparer = (*Pool)(nil)
 var _ sqlgen.QueryPreparer = Embedded{}
 var _ sqlgen.QueryPreparer = ProfiledEmbedded{}
+var _ ctxStmt = (*Stmt)(nil)
+var _ ctxStmt = (*PooledStmt)(nil)
+var _ ctxStmt = embeddedStmt{}
+var _ ctxStmt = profiledStmt{}
+var _ ctxStmt = textStmt{}

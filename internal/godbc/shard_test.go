@@ -140,16 +140,6 @@ func TestRoutedQueryHitsOwningShard(t *testing.T) {
 			t.Fatalf("run %d: rows %v, want v=%d", run, set.Rows, run%3)
 		}
 	}
-	// The text-protocol path routes identically.
-	for run := int64(1); run <= 6; run++ {
-		set, err := sdb.ExecQueryRouted("SELECT v FROM t WHERE run = $t", "t", runParams(run)[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(set.Rows) != 1 || set.Rows[0][0].Int() != run%3 {
-			t.Fatalf("text run %d: rows %v", run, set.Rows)
-		}
-	}
 }
 
 // TestShardedBatchMergesInBindingOrder: a batch whose bindings interleave

@@ -123,8 +123,8 @@ func (m *Metrics) Uptime() time.Duration { return time.Since(m.start) }
 
 // MetricsSnapshot is the complete observable state of a cosyd process — the
 // JSON document GET /metrics returns. Sections that do not apply to the
-// deployment (no pool when embedded, no backend stats when the kojakdb
-// server predates the extension) are omitted rather than zeroed.
+// deployment (no pool when embedded, no mux without a MuxConn) are omitted
+// rather than zeroed.
 type MetricsSnapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Draining is true once shutdown began; /healthz turns 503 with it.
@@ -174,14 +174,14 @@ func (s *Service) MetricsSnapshot() MetricsSnapshot {
 	if bs, ok := s.q.(interface {
 		ServerStats() (godbc.ServerStats, bool, error)
 	}); ok {
-		if st, supported, err := bs.ServerStats(); err == nil && supported {
+		if st, _, err := bs.ServerStats(); err == nil {
 			snap.Backend = &st
 		}
 	}
 	if cs, ok := s.q.(interface {
 		CacheStats() (godbc.CacheStats, bool, error)
 	}); ok {
-		if st, supported, err := cs.CacheStats(); err == nil && supported {
+		if st, _, err := cs.CacheStats(); err == nil {
 			snap.Cache = &st
 		}
 	}

@@ -921,8 +921,8 @@ func (ec *execCtx) seedRows(st *SelectStmt, sp *selectPlan, fr *frame, bt *bound
 			return nil, false
 		}
 		v, err := ec.eval(val, fr)
-		if err != nil {
-			return nil, false // not evaluable up front; fall back to a scan
+		if err != nil || !probeable(bt.table.cols[col].typ, v) {
+			return nil, false // not evaluable up front, or `=` raises; scan
 		}
 		positions := ix.get(v)
 		all := bt.table.scan()

@@ -75,6 +75,13 @@ func boolSlot(v Value) int {
 	return 0
 }
 
+// probeable reports whether an index on a column of type ct may answer an
+// equality probe for v. `=` raises on a non-NULL value of another class, and
+// the index holds no key of that class: it would answer "no rows" where a
+// scan raises. Such probes seed by scan instead, which raises the identical
+// error (or none, on an empty table). Equi-joins probe without this check.
+func probeable(ct ColType, v Value) bool { return v.IsNull() || classOK(ct, v) }
+
 // get returns the positions whose cell has v's key, in ascending order. The
 // slice aliases the index and must not be modified.
 func (ix *colIndex) get(v Value) []int {

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -58,6 +59,30 @@ func TestInsertTypeCoercion(t *testing.T) {
 	set := mustQuery(t, db, `SELECT salary FROM emp WHERE id = 6`, nil)
 	if got := set.Rows[0][0]; !got.IsNumeric() || got.Float() != 70 {
 		t.Fatalf("salary = %v, want 70", got)
+	}
+}
+
+// TestIntegerColumnRejectsOutOfRangeReals: an integral REAL stores into an
+// INTEGER column only inside int64's range. Outside it the conversion would
+// overflow (1e300 used to store -9223372036854775808), so the insert fails
+// with the usual "cannot store" error; -2^63 is the largest magnitude that
+// fits.
+func TestIntegerColumnRejectsOutOfRangeReals(t *testing.T) {
+	db := NewDB()
+	db.MustExec(`CREATE TABLE n (i INTEGER)`, nil)
+	for _, f := range []float64{1e300, -1e300, math.Inf(1), math.Inf(-1), 1 << 63} {
+		_, err := db.Exec(`INSERT INTO n (i) VALUES (?)`, &Params{Positional: []Value{NewFloat(f)}})
+		if err == nil || !strings.Contains(err.Error(), "cannot store") {
+			t.Errorf("%g into INTEGER: err = %v, want cannot store", f, err)
+		}
+	}
+	if _, err := db.Exec(`INSERT INTO n (i) VALUES (1e300)`, nil); err == nil {
+		t.Error("literal 1e300 stored into an INTEGER column")
+	}
+	db.MustExec(`INSERT INTO n (i) VALUES (?)`, &Params{Positional: []Value{NewFloat(-(1 << 63))}})
+	set := mustQuery(t, db, `SELECT i FROM n`, nil)
+	if len(set.Rows) != 1 || !set.Rows[0][0].IsInt() || set.Rows[0][0].Int() != math.MinInt64 {
+		t.Fatalf("rows = %v, want the one row -2^63", set.Rows)
 	}
 }
 

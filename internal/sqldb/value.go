@@ -209,7 +209,10 @@ func coerce(v Value, t ColType) (Value, error) {
 		case kindInt:
 			return v, nil
 		case kindFloat:
-			if v.f == math.Trunc(v.f) {
+			// Only an integral value inside int64's range converts exactly;
+			// Go leaves the conversion of anything else (1e300, ±Inf)
+			// implementation-defined.
+			if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f < -math.MinInt64 {
 				return NewInt(int64(v.f)), nil
 			}
 		case kindBool:

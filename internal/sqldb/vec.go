@@ -1042,11 +1042,11 @@ func (cp *vecCompiler) corrSub(e Expr, ntab int) (vexpr, bool) {
 // keys, duplicate matches, and comparison errors behave identically:
 // 0 matches → NULL, n>1 matches → the row engine's cardinality error.
 //
-// Two nuances route to the generic delegation path (corrSub) at runtime
+// Three nuances route to the generic delegation path (corrSub) at runtime
 // rather than diverge: a missing index on the pinned column (the row engine
-// would scan), and a key evaluation error (the row engine surfaces it only
+// would scan), a key evaluation error (the row engine surfaces it only
 // through the per-row recheck, which it never reaches when the inner table
-// is empty).
+// is empty), and a key of another class than the column (see probeable).
 func (cp *vecCompiler) corrLookup(x *ESubquery, ntab int) (vexpr, bool) {
 	st := x.Select
 	if st.From == nil || len(st.Joins) != 0 || st.Where == nil ||
@@ -1107,6 +1107,11 @@ func (cp *vecCompiler) corrLookup(x *ESubquery, ntab int) (vexpr, bool) {
 		defer vc.putCol(kc)
 		if err := kx(vc, b, kc); err != nil {
 			return slow(vc, b, out)
+		}
+		for i := 0; i < b.n; i++ {
+			if !probeable(t.cols[keyCol].typ, kc.at(i)) {
+				return slow(vc, b, out)
+			}
 		}
 		vals := out.alloc(b.n)
 		for i := 0; i < b.n; i++ {

@@ -339,8 +339,8 @@ func (ec *execCtx) vecExecRows(st *SelectStmt, sp *selectPlan, parent *frame, si
 // vecSeed returns the seed row positions of the first table: an index point
 // lookup when one of the planned access paths applies (the positions are
 // copied — downstream narrowing must not alias the index), a full scan
-// otherwise. Mirrors seedRows, including swallowing key-evaluation errors to
-// fall back to the scan.
+// otherwise. Mirrors seedRows, including swallowing key-evaluation errors and
+// refusing probes of another class than the column to fall back to the scan.
 func (ec *execCtx) vecSeed(sp *selectPlan, fr *frame, bt *boundTable, buf []int32) ([]int32, error) {
 	for _, ap := range sp.access {
 		ix := bt.table.index(ap.col)
@@ -348,8 +348,8 @@ func (ec *execCtx) vecSeed(sp *selectPlan, fr *frame, bt *boundTable, buf []int3
 			continue
 		}
 		v, err := ec.eval(ap.val, fr)
-		if err != nil {
-			continue // not evaluable up front; fall back to a scan
+		if err != nil || !probeable(bt.table.cols[ap.col].typ, v) {
+			continue // not evaluable up front, or `=` raises; scan
 		}
 		for _, p := range ix.get(v) {
 			buf = append(buf, int32(p))

@@ -2,7 +2,6 @@ package wire_test
 
 import (
 	"net"
-	"strings"
 	"testing"
 
 	"repro/internal/sqldb"
@@ -113,17 +112,5 @@ func TestCacheStatsRequest(t *testing.T) {
 	}
 	if resp.Cache.Hits != 1 || resp.Cache.Misses != 1 || resp.Cache.Entries != 1 {
 		t.Fatalf("stats = %+v", resp.Cache)
-	}
-}
-
-// TestCacheStatsUnsupported: a server with the extension disabled answers
-// like a pre-cache server — the unknown-request-kind error the client's
-// fallback keys on.
-func TestCacheStatsUnsupported(t *testing.T) {
-	_, srv, codec := startCacheServer(t)
-	srv.DisableCacheStats()
-	resp := roundTrip(t, codec, &wire.Request{Kind: wire.ReqCacheStats})
-	if !strings.Contains(resp.Err, "unknown request kind") {
-		t.Fatalf("err = %q, want unknown request kind", resp.Err)
 	}
 }

@@ -234,61 +234,6 @@ func TestSlowReaderBackpressure(t *testing.T) {
 	}
 }
 
-// TestMuxClientAgainstPreMuxServer: DisableMux makes the server behave like a
-// pre-extension peer (echoes no IDs, serves serially). A MuxConn must detect
-// that from the first reply and fall back to ordered pairing — including
-// concurrent callers and abandoned requests.
-func TestMuxClientAgainstPreMuxServer(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	db, srv := startServer(t, wire.ProfileFast)
-	srv.DisableMux()
-	if _, err := db.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY)", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec("INSERT INTO t (id) VALUES (?)", &sqldb.Params{Positional: []sqldb.Value{sqldb.NewInt(7)}}); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := godbc.DialMux(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	// Concurrent queries still work (serialized under the covers).
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			set, err := m.ExecQuery("SELECT id FROM t", nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if len(set.Rows) != 1 || set.Rows[0][0].Int() != 7 {
-				t.Errorf("rows: %v", set.Rows)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// An abandoned request must not desynchronize the ordered pairing: the
-	// tombstone swallows its late reply and the next call gets its own.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.ExecQueryContext(ctx, "SELECT id FROM t", nil); err == nil {
-		t.Fatal("canceled query succeeded")
-	}
-	set, err := m.ExecQuery("SELECT id FROM t", nil)
-	if err != nil {
-		t.Fatalf("query after an abandoned one on a serial peer: %v", err)
-	}
-	if len(set.Rows) != 1 || set.Rows[0][0].Int() != 7 {
-		t.Fatalf("reply pairing desynchronized: %v", set.Rows)
-	}
-}
-
 // TestPreMuxClientAgainstMuxServer: a plain Conn (never sends IDs) against
 // the current server — the server must serve it serially and echo no IDs,
 // exactly as before the extension (gob tolerance both ways).

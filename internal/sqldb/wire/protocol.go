@@ -100,10 +100,8 @@ type Request struct {
 	// connection may have several requests in flight: the server executes
 	// tagged requests concurrently and echoes the ID on the matching
 	// Response, so the client can demultiplex replies that arrive out of
-	// order. ID 0 is the pre-multiplex protocol — requests are served
-	// one at a time, in order, exactly as every peer behaved before the
-	// extension existed. Gob drops unknown fields, so a pre-mux server
-	// never sees the tag and a pre-mux client never sends one.
+	// order. ID 0 (what a classic godbc.Conn sends) is served one request
+	// at a time, in order.
 	ID int64
 	// CancelID names the in-flight request a ReqCancel aborts. Cancellation
 	// is cooperative: the server cancels the target's context, the target's
@@ -128,9 +126,7 @@ type BatchItem struct {
 	Columns  []string
 	Rows     [][]WireValue
 	Affected int
-	// Cached marks a binding answered from the server's result cache. Gob
-	// drops fields the receiver does not know, so pre-cache clients decode
-	// these items unchanged.
+	// Cached marks a binding answered from the server's result cache.
 	Cached bool
 }
 
@@ -146,8 +142,6 @@ type CacheStats struct {
 // ServerStats is the engine and cost counter snapshot a ReqServerStats
 // returns: the backend's SELECT engine counters plus the server's own
 // request count and the cumulative simulated vendor delay it has charged.
-// Like every protocol extension, a server predating it answers the request
-// as an unknown kind and clients degrade gracefully (see godbc.ServerStats).
 type ServerStats struct {
 	// Engine names the backend's SELECT execution engine ("vector" or "row").
 	Engine string
@@ -156,7 +150,6 @@ type ServerStats struct {
 	VecSelects   int64
 	VecFallbacks int64
 	// FbJoinShape..FbOther break VecFallbacks down by refused plan shape.
-	// Gob drops unknown fields, so pre-breakdown peers interoperate.
 	FbJoinShape int64
 	FbStar      int64
 	FbOrderExpr int64
@@ -189,17 +182,14 @@ type Response struct {
 	Items []BatchItem
 	// CacheHits counts how many of this reply's results were served from the
 	// server's result cache (0 or 1 for single executions, up to the binding
-	// count for a batch). Pre-cache servers never set it; pre-cache clients
-	// ignore it — gob tolerates the field being absent on either side.
+	// count for a batch).
 	CacheHits int
 	// Cache is the counter snapshot answering a ReqCacheStats.
 	Cache *CacheStats
 	// Server is the counter snapshot answering a ReqServerStats.
 	Server *ServerStats
 	// ID echoes the Request.ID of a multiplexed request so the client can
-	// route the reply. Pre-mux servers never set it (gob tolerates the
-	// absence); a mux client that reads back ID 0 knows it is talking to a
-	// pre-mux peer and falls back to one-request-at-a-time pairing.
+	// route the reply; it is 0 exactly when the request's was.
 	ID int64
 }
 
